@@ -1,7 +1,8 @@
 """Command-line interface: check, run, trace, desugar over `.ld` files.
 
 Exit codes: 0 success, 1 type error, 2 parse error, 3 stuck, 4 fuel
-exhausted, 5 harness verdict failure.
+exhausted, 5 harness verdict failure, 70 internal error (an exception
+escaped; printed as one `internal error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_PARSE = 2
 EXIT_STUCK = 3
 EXIT_FUEL = 4
 EXIT_VERDICT = 5
+EXIT_INTERNAL = 70
 
 
 def print_component(e) -> str:
@@ -118,7 +120,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.fuel <= 0:
         ap.error("--fuel must be positive")
+    try:
+        return _main(args)
+    except Exception as e:  # the boundary: no traceback, a status of its own
+        msg = " ".join(str(e).split())
+        print("internal error: %s%s" % (type(e).__name__, ": " + msg if msg else ""), file=sys.stderr)
+        return EXIT_INTERNAL
 
+
+def _main(args) -> int:
     try:
         env = _load(args.file)
     except ParseError as e:

@@ -3,16 +3,30 @@
 A command is an evaluation-context stack plus a focused term.  Rules come
 in three families: focusing (F, pushes a component; never fires when the
 would-be focus is already a value), unfocusing (U, pops and reassembles
-around a value) and contraction (C, rewrites a redex).  Destination
-fills mutate the structure attached to the unique open-ampar component
-that binds the hole, via a substitution on the context; fresh hole names
-come from max-based formulas so runs are fully deterministic.
+around a value) and contraction (C, rewrites a redex).  Fresh hole names
+come from max-based formulas over the names in the context, so runs are
+fully deterministic.
+
+Cost model.  While it runs, the machine keeps the structure under
+construction of each open ampar as a heap of hole cells indexed by hole
+name, as Minamide's data structures with a hole do: a destination write
+touches one cell.  Opening or grafting a closed ampar renames only its
+unfilled holes and its right-hand value; ages forbid an ampar's own
+destinations inside its own structure, so there are no other occurrences.
+The largest hole name of each open structure is tracked exactly, so every
+minted numeral is the one the max-based formulas give.  `run` keeps the
+origin and the rule names only: the `Command` of each step is built when
+someone reads `trace.steps`, by stepping again from the origin.  Classic
+`syntax` values and `Command`s are all that leaves the machine; a closed
+ampar it built reads its `left` from its cells on first access.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from .modes import Mode, ONE_INF
 from . import syntax as S
@@ -157,8 +171,6 @@ FocusComp = object
 class Command:
     ctx: Tuple[FocusComp, ...]
     focus: object
-    # cached max hole name per component; derived data, never compared
-    ctx_hmax: Optional[Tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -177,10 +189,26 @@ class Stuck:
     reason: str
 
 
-class HoleNotFound(Exception):
+class MachineError(Exception):
+    """A machine invariant does not hold.  Raised, not asserted, so `python -O` keeps it."""
+
+
+class HoleNotFound(MachineError):
     def __init__(self, h: int):
-        super().__init__("no open ampar binds hole %d" % h)
+        super().__init__("no open ampar has exactly one cell for hole %d" % h)
         self.hole = h
+
+
+class NameClash(MachineError):
+    def __init__(self, h: int):
+        super().__init__("hole name %d is already bound in the open ampar" % h)
+        self.hole = h
+
+
+class OpenLambda(MachineError):
+    def __init__(self, names):
+        super().__init__("lambda value must be closed; free: %s" % ", ".join(sorted(names)))
+        self.names = names
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +282,9 @@ def hmax_value(v) -> int:
     if isinstance(v, (S.HoleV, S.DestV)):
         m = v.hole
     elif isinstance(v, S.AmparV):
-        m = max(max(v.holes, default=0), hmax_value(v.left), hmax_value(v.right))
+        shape = v.__dict__.get("_shape")
+        left = shape.static if shape is not None else hmax_value(v.left)
+        m = max(max(v.holes, default=0), left, hmax_value(v.right))
     elif isinstance(v, (S.InlV, S.InrV, S.ModV)):
         m = hmax_value(v.value)
     elif isinstance(v, S.PairV):
@@ -284,8 +314,6 @@ def hmax_term(t) -> int:
 
 
 def hmax_component(e) -> int:
-    if isinstance(e, OpenAmpar):
-        return max(max(e.holes, default=0), hmax_value(e.left))
     m = 0
     for f in S.field_names(type(e)):
         v = getattr(e, f)
@@ -313,20 +341,14 @@ def hnames(x) -> set:
 # Shifts and substitutions
 
 
-def shift_set(holes, d: int) -> frozenset:
-    return frozenset(h + d for h in holes)
-
-
 def cond_shift(x, holes, d: int):
-    """Rename hole/destination occurrences named in `holes` by +d.
+    """Rename hole/destination occurrences named in `holes` by +d in a value or term.
 
     A closed ampar value binds its own name set; names it binds are not
     occurrences of the outer ones and stay untouched.
     """
     if d == 0 or not holes:
         return x
-    if isinstance(x, tuple):  # evaluation context
-        return tuple(_shift_component(e, holes, d) for e in x)
     if isinstance(x, S._VALUE_TYPES):
         return _shift_value(x, holes, d)
     return _shift_term(x, holes, d)
@@ -362,23 +384,6 @@ def _shift_term(t, holes, d):
         nv = _shift_value(t.value, holes, d)
         return t if nv is t.value else S.Val(nv, pos=t.pos)
     return S.map_children(t, lambda c: _shift_term(c, holes, d))
-
-
-def _shift_component(e, holes, d):
-    if isinstance(e, OpenAmpar):
-        # open-ampar binders are globally unique; only free occurrences move
-        assert not (e.holes & holes)
-        return OpenAmpar(e.holes, _shift_value(e.left, holes, d))
-    kw = {}
-    for f in S.all_field_names(type(e)):
-        v = getattr(e, f)
-        if isinstance(v, S._TERM_TYPES):
-            kw[f] = _shift_term(v, holes, d)
-        elif isinstance(v, S._VALUE_TYPES):
-            kw[f] = _shift_value(v, holes, d)
-        else:
-            kw[f] = v
-    return type(e)(**kw)
 
 
 def free_vars_cached(t) -> frozenset:
@@ -512,46 +517,167 @@ def subst_fix(t, x: str, fix_term):
     return S.map_children(t, lambda c: subst_fix(c, x, fix_term))
 
 
-def _replace_hole(v, h: int, new):
-    """Replace the (unique) occurrence of hole h in v; returns (v', count)."""
-    if isinstance(v, S.HoleV):
-        if v.hole == h:
-            return new, 1
-        return v, 0
-    if isinstance(v, (S.DestV, S.UnitV)):
-        return v, 0
-    if isinstance(v, S.AmparV):
-        if h in v.holes:
-            return v, 0  # shadowed by the inner binder
-        l, c1 = _replace_hole(v.left, h, new)
-        r, c2 = _replace_hole(v.right, h, new)
-        return (S.AmparV(v.holes, l, r) if c1 + c2 else v), c1 + c2
-    if isinstance(v, (S.InlV, S.InrV)):
-        inner, c = _replace_hole(v.value, h, new)
-        return (type(v)(inner) if c else v), c
-    if isinstance(v, S.ModV):
-        inner, c = _replace_hole(v.value, h, new)
-        return (S.ModV(v.mode, inner) if c else v), c
-    if isinstance(v, S.PairV):
-        a, c1 = _replace_hole(v.fst, h, new)
-        b, c2 = _replace_hole(v.snd, h, new)
-        return (S.PairV(a, b) if c1 + c2 else v), c1 + c2
-    if isinstance(v, S.LamV):
-        return v, 0  # lambda bodies contain no free holes
-    raise TypeError(v)
+# ---------------------------------------------------------------------------
+# Structures under construction: a heap of hole cells
 
 
-def hole_subst(ctx: Tuple[FocusComp, ...], h: int, new_holes: frozenset, v) -> Tuple[FocusComp, ...]:
-    """Write v into hole h of the open ampar binding it; rebind new_holes."""
-    for i in range(len(ctx) - 1, -1, -1):
-        e = ctx[i]
-        if isinstance(e, OpenAmpar) and h in e.holes:
-            left, count = _replace_hole(e.left, h, v)
-            if count != 1:
-                raise HoleNotFound(h)
-            holes = (e.holes - {h}) | new_holes
-            return ctx[:i] + (OpenAmpar(holes, left),) + ctx[i + 1 :]
-    raise HoleNotFound(h)
+class Cell:
+    """One hole of a structure under construction; `value` stays None until written.
+
+    A written cell holds a leaf value, a hollow constructor whose children
+    are cells, or, after a graft, the root cell of the grafted structure.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value=None):
+        self.value = value
+
+
+def _hollow_children(v):
+    """The child cells of a hollow constructor, or None for a leaf value."""
+    t = type(v)
+    if t is S.PairV:
+        if type(v.fst) is Cell:
+            return (v.fst, v.snd)
+    elif t is S.InlV or t is S.InrV or t is S.ModV:
+        if type(v.value) is Cell:
+            return (v.value,)
+    return None
+
+
+def read_structure(root: Cell, holes: dict):
+    """The classic value a structure denotes; the cells of `holes` (name -> cell) read as holes."""
+    names = {c: n for n, c in holes.items()}
+    out, todo = [], [root]
+    while todo:
+        x = todo.pop()
+        if type(x) is not Cell:  # a hollow constructor whose children have been read
+            if type(x) is S.PairV:
+                snd = out.pop()
+                out[-1] = S.PairV(out[-1], snd)
+            elif type(x) is S.ModV:
+                out[-1] = S.ModV(x.mode, out[-1])
+            else:
+                out[-1] = type(x)(out[-1])
+            continue
+        name = names.get(x)
+        if name is not None:
+            out.append(S.HoleV(name))
+            continue
+        v = x.value
+        if v is None:
+            raise MachineError("an unwritten cell is no hole of the structure being read")
+        if type(v) is Cell:
+            todo.append(v)
+            continue
+        kids = _hollow_children(v)
+        if kids is None:
+            out.append(v)
+        else:
+            todo.append(v)
+            todo.extend(reversed(kids))
+    return out[0]
+
+
+class Shape:
+    """The structure of a closed ampar the machine built, kept as cells.
+
+    `S.AmparV.left` reads it on first access.  An unrestricted ampar can be
+    opened more than once, so only the first open or graft writes these
+    cells in place (`taken`); later ones work on a copy.  Reading never
+    looks past the ampar's own hole cells, so writes through the first
+    open leave what this ampar denotes unchanged.
+    """
+
+    __slots__ = ("root", "cells", "static", "taken")
+
+    def __init__(self, root: Cell, cells: dict, static: int):
+        self.root, self.cells, self.static, self.taken = root, cells, static, False
+
+    def read(self):
+        return read_structure(self.root, self.cells)
+
+
+def _cells_of(left, holes):
+    """Cells for a classic structure: (root, {name: cell} in ascending name order, static).
+
+    `static` is the largest hole name in `left` other than its holes `holes`.
+    """
+    cells = {}
+    static = 0
+
+    def leaf(v):
+        nonlocal static
+        static = max(static, hmax_value(v))
+        return Cell(v)
+
+    def conv(v):  # a cell when v contains a hole of `holes`, else None
+        t = type(v)
+        if t is S.HoleV and v.hole in holes:
+            if v.hole in cells:
+                raise HoleNotFound(v.hole)
+            cell = cells[v.hole] = Cell()
+            return cell
+        if t is S.InlV or t is S.InrV or t is S.ModV:
+            c = conv(v.value)
+            if c is None:
+                return None
+            return Cell(S.ModV(v.mode, c) if t is S.ModV else t(c))
+        if t is S.PairV:
+            a, b = conv(v.fst), conv(v.snd)
+            if a is None and b is None:
+                return None
+            return Cell(S.PairV(a or leaf(v.fst), b or leaf(v.snd)))
+        return None
+
+    root = conv(left) if holes else None
+    if root is None:
+        root = leaf(left)
+    if len(cells) != len(holes):
+        raise HoleNotFound(min(set(holes) - set(cells)))
+    return root, {h: cells[h] for h in sorted(cells)}, static
+
+
+class OpenCells:
+    """An open ampar of a running machine: its structure as a heap of hole cells.
+
+    `cells` maps each unwritten hole's name to its cell.  Names are minted
+    above every live name, so the last live entry of `order` is the largest
+    hole; `static` is the largest other name in the structure.  Together
+    they give `hmax_component` of the classic `OpenAmpar` without a walk.
+    """
+
+    __slots__ = ("root", "cells", "order", "static", "snap")
+
+    def __init__(self, root: Cell, cells: dict, static: int, snap=None):
+        self.root, self.cells, self.static, self.snap = root, cells, static, snap
+        self.order = list(cells)
+
+    def hmax(self) -> int:
+        order, cells = self.order, self.cells
+        while order and order[-1] not in cells:
+            order.pop()
+        return max(order[-1], self.static) if order else self.static
+
+    def write(self, h: int, value, static: int):
+        """Write `value` into hole h; `static` bounds the names it brings."""
+        self.cells.pop(h).value = value
+        if static > self.static:
+            self.static = static
+        self.snap = None
+
+    def bind(self, h: int, cell: Cell):
+        if h in self.cells:
+            raise NameClash(h)
+        self.cells[h] = cell
+        self.order.append(h)
+        self.snap = None
+
+    def snapshot(self) -> "OpenAmpar":
+        if self.snap is None:
+            self.snap = OpenAmpar(frozenset(self.cells), read_structure(self.root, self.cells))
+        return self.snap
 
 
 # ---------------------------------------------------------------------------
@@ -562,231 +688,289 @@ def is_val(t) -> bool:
     return isinstance(t, S.Val)
 
 
-def _hmaxes(cmd: Command) -> Tuple[int, ...]:
-    if cmd.ctx_hmax is None:
-        cmd.ctx_hmax = tuple(hmax_component(e) for e in cmd.ctx)
-    return cmd.ctx_hmax
+class _State:
+    """A running command: the context as a stack, the focus, and the name bookkeeping.
 
-
-def _push(cmd: Command, comp, focus) -> Command:
-    return Command(cmd.ctx + (comp,), focus, _hmaxes(cmd) + (hmax_component(comp),))
-
-
-def _pop(cmd: Command, focus) -> Command:
-    return Command(cmd.ctx[:-1], focus, _hmaxes(cmd)[:-1])
-
-
-def _ctx_max(cmd: Command) -> int:
-    return max(_hmaxes(cmd), default=0)
-
-
-def _fresh_base(cmd: Command, h: int) -> int:
-    return max(_ctx_max(cmd), h) + 1
-
-
-def _subst_cmd(cmd: Command, h: int, new_holes: frozenset, v, focus) -> Command:
-    """hole_subst plus maintenance of the cached component maxima."""
-    ctx = hole_subst(cmd.ctx, h, new_holes, v)
-    maxes = list(_hmaxes(cmd))
-    for i in range(len(ctx) - 1, -1, -1):
-        if ctx[i] is not cmd.ctx[i]:
-            e = ctx[i]
-            maxes[i] = max(max(e.holes, default=0), hmax_value(e.left))
-            break
-    return Command(ctx, focus, tuple(maxes))
-
-
-def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:
-    """All rules whose left-hand side matches the command.
-
-    The semantics is deterministic: on every reachable command this list
-    has at most one entry.  The harness re-scans it at every step.
+    `maxes[i + 1]` is the largest hole name in the components ctx[:i + 1]
+    other than open ampars; `open_at` are the positions of the open
+    ampars, whose largest names change as holes are written.
     """
-    out: List[Tuple[str, Callable[[], Command]]] = []
-    t = cmd.focus
-    ctx = cmd.ctx
+
+    __slots__ = ("ctx", "maxes", "open_at", "focus")
+
+    def __init__(self, focus):
+        self.ctx, self.maxes, self.open_at, self.focus = [], [0], [], focus
+
+    @classmethod
+    def load(cls, cmd: Command) -> "_State":
+        st = cls(cmd.focus)
+        for e in cmd.ctx:
+            if isinstance(e, OpenAmpar):
+                st.push_open(OpenCells(*_cells_of(e.left, e.holes), snap=e), cmd.focus)
+            else:
+                st.push(e, cmd.focus)
+        return st
+
+    def push(self, comp, focus):
+        self.ctx.append(comp)
+        self.maxes.append(max(self.maxes[-1], hmax_component(comp)))
+        self.focus = focus
+
+    def push_open(self, o: OpenCells, focus):
+        self.open_at.append(len(self.ctx))
+        self.ctx.append(o)
+        self.maxes.append(self.maxes[-1])
+        self.focus = focus
+
+    def pop(self, focus):
+        if type(self.ctx.pop()) is OpenCells:
+            self.open_at.pop()
+        self.maxes.pop()
+        self.focus = focus
+
+    def refocus(self, focus):
+        self.focus = focus
+
+    def close(self, right):
+        o = self.ctx[-1]
+        shape = Shape(o.root, o.cells, o.static)
+        self.pop(S.Val(S.AmparV.with_shape(frozenset(o.cells), shape, right)))
+
+    def ctx_max(self) -> int:
+        m = self.maxes[-1]
+        for i in self.open_at:
+            h = self.ctx[i].hmax()
+            if h > m:
+                m = h
+        return m
+
+    def fresh_base(self, h: int) -> int:
+        return max(self.ctx_max(), h) + 1
+
+    def write(self, h: int, value, focus, static: int = 0, binds=()):
+        """Write value into hole h of the innermost open ampar binding it; bind new holes."""
+        for i in reversed(self.open_at):
+            o = self.ctx[i]
+            if h in o.cells:
+                break
+        else:
+            raise HoleNotFound(h)
+        o.write(h, value, static)
+        for n, cell in binds:
+            o.bind(n, cell)
+        self.focus = focus
+
+    def snapshot(self) -> Command:
+        ctx = self.ctx.copy()
+        for i in self.open_at:
+            ctx[i] = ctx[i].snapshot()
+        return Command(tuple(ctx), self.focus)
+
+    def step(self):
+        """Apply the one applicable rule; its name, or Final/Stuck."""
+        t = self.focus
+        if not self.ctx and isinstance(t, S.Val):
+            return Final(t.value)
+        rules = _match(self.ctx[-1] if self.ctx else None, t)
+        if not rules:
+            from .printer import print_term
+            return Stuck("no rule applies to focus %s" % print_term(t, 3))
+        if len(rules) > 1:
+            names = ", ".join(name for name, _ in rules)
+            raise AssertionError("determinism violation: %s all apply" % names)
+        name, act = rules[0]
+        act(self)
+        return name
+
+
+def _renamed(av, d: int):
+    """A closed ampar's cells, ready to be written, with its names shifted by d:
+    (root, {name: cell}, static, shifted right value)."""
+    shape = av.__dict__.get("_shape")
+    if shape is not None and not shape.taken:
+        shape.taken = True
+        root, cells, static = shape.root, shape.cells, shape.static
+    else:
+        root, cells, static = _cells_of(av.left, av.holes)
+    return root, {n + d: c for n, c in cells.items()}, static, cond_shift(av.right, av.holes, d)
+
+
+def _match(top, t) -> List[Tuple[str, Callable[[_State], None]]]:
+    """The rules whose left-hand side matches focus t under the top component (None at the root).
+
+    Each comes with the action that rewrites a running state.
+    """
+    out: List[Tuple[str, Callable[[_State], None]]] = []
 
     if is_val(t):
         v = t.value
-        if ctx:
-            e = ctx[-1]
-            if isinstance(e, AppFun):
-                out.append(("⊸EU₁", lambda: _pop(cmd, S.App(e.fn, t))))
-            elif isinstance(e, AppArg):
-                out.append(("⊸EU₂", lambda: _pop(cmd, S.App(t, S.Val(e.arg)))))
-            elif isinstance(e, SeqL):
-                out.append(("1EU", lambda: _pop(cmd, S.Seq(t, e.rest))))
-            elif isinstance(e, CaseSumF):
-                def _pop_case_sum():
-                    node = S.CaseSum(e.mode, t, e.left_var, e.left_body, e.right_var, e.right_body)
-                    node.scrut_ty_ = e.scrut_ty_
-                    return _pop(cmd, node)
-                out.append(("⊕EU", _pop_case_sum))
-            elif isinstance(e, CasePairF):
-                def _pop_case_pair():
-                    node = S.CasePair(e.mode, t, e.var1, e.var2, e.body)
-                    node.scrut_ty_ = e.scrut_ty_
-                    return _pop(cmd, node)
-                out.append(("⊗EU", _pop_case_pair))
-            elif isinstance(e, CaseBangF):
-                def _pop_case_bang():
-                    node = S.CaseBang(e.mode, t, e.inner_mode, e.var, e.body)
-                    node.scrut_ty_ = e.scrut_ty_
-                    return _pop(cmd, node)
-                out.append(("!EU", _pop_case_bang))
-            elif isinstance(e, UpdWithF):
-                def _pop_upd():
-                    node = S.UpdWith(t, e.var, e.body)
-                    node.scrut_ty_ = e.scrut_ty_
-                    return _pop(cmd, node)
-                out.append(("⋉UPDU", _pop_upd))
-            elif isinstance(e, ToF):
-                out.append(("⋉TOU", lambda: _pop(cmd, S.ToAmpar(t))))
-            elif isinstance(e, FromF):
-                def _pop_from():
-                    node = S.FromAmpar(t)
-                    node.inner_ty_ = e.inner_ty_
-                    return _pop(cmd, node)
-                out.append(("⋉FROMU", _pop_from))
-            elif isinstance(e, FromPrimeF):
-                def _pop_fromp():
-                    node = S.FromAmparPrime(t)
-                    node.left_ty_ = e.left_ty_
-                    return _pop(cmd, node)
-                out.append(("⋉FROM′U", _pop_fromp))
-            elif isinstance(e, FillUnitF):
-                out.append(("[1]EU", lambda: _pop(cmd, S.FillUnit(t))))
-            elif isinstance(e, FillInlF):
-                out.append(("[⊕]E₁U", lambda: _pop(cmd, S.FillInl(t))))
-            elif isinstance(e, FillInrF):
-                out.append(("[⊕]E₂U", lambda: _pop(cmd, S.FillInr(t))))
-            elif isinstance(e, FillPairF):
-                out.append(("[⊗]EU", lambda: _pop(cmd, S.FillPair(t))))
-            elif isinstance(e, FillBangF):
-                out.append(("[!]EU", lambda: _pop(cmd, S.FillBang(t, e.mode))))
-            elif isinstance(e, FillFunF):
-                def _pop_fill_fun():
-                    node = S.FillFun(t, e.var, e.mode, e.body)
-                    node.param_ty_ = e.param_ty_
-                    return _pop(cmd, node)
-                out.append(("[⊸]EU", _pop_fill_fun))
-            elif isinstance(e, FillCompL):
-                out.append(("[]E_cU₁", lambda: _pop(cmd, S.FillComp(t, e.child))))
-            elif isinstance(e, FillCompR):
-                out.append(("[]E_cU₂", lambda: _pop(cmd, S.FillComp(S.Val(e.dest), t))))
-            elif isinstance(e, FillLeafL):
-                out.append(("[]E_LU₁", lambda: _pop(cmd, S.FillLeaf(t, e.arg))))
-            elif isinstance(e, FillLeafR):
-                out.append(("[]E_LU₂", lambda: _pop(cmd, S.FillLeaf(S.Val(e.dest), t))))
-            elif isinstance(e, OpenAmpar):
-                out.append(("⋉CL", lambda: _pop(cmd, S.Val(S.AmparV(e.holes, e.left, v)))))
+        e = top
+        if e is None:
+            return out
+        if isinstance(e, AppFun):
+            out.append(("⊸EU₁", lambda st: st.pop(S.App(e.fn, t))))
+        elif isinstance(e, AppArg):
+            out.append(("⊸EU₂", lambda st: st.pop(S.App(t, S.Val(e.arg)))))
+        elif isinstance(e, SeqL):
+            out.append(("1EU", lambda st: st.pop(S.Seq(t, e.rest))))
+        elif isinstance(e, CaseSumF):
+            def _pop_case_sum(st):
+                node = S.CaseSum(e.mode, t, e.left_var, e.left_body, e.right_var, e.right_body)
+                node.scrut_ty_ = e.scrut_ty_
+                st.pop(node)
+            out.append(("⊕EU", _pop_case_sum))
+        elif isinstance(e, CasePairF):
+            def _pop_case_pair(st):
+                node = S.CasePair(e.mode, t, e.var1, e.var2, e.body)
+                node.scrut_ty_ = e.scrut_ty_
+                st.pop(node)
+            out.append(("⊗EU", _pop_case_pair))
+        elif isinstance(e, CaseBangF):
+            def _pop_case_bang(st):
+                node = S.CaseBang(e.mode, t, e.inner_mode, e.var, e.body)
+                node.scrut_ty_ = e.scrut_ty_
+                st.pop(node)
+            out.append(("!EU", _pop_case_bang))
+        elif isinstance(e, UpdWithF):
+            def _pop_upd(st):
+                node = S.UpdWith(t, e.var, e.body)
+                node.scrut_ty_ = e.scrut_ty_
+                st.pop(node)
+            out.append(("⋉UPDU", _pop_upd))
+        elif isinstance(e, ToF):
+            out.append(("⋉TOU", lambda st: st.pop(S.ToAmpar(t))))
+        elif isinstance(e, FromF):
+            def _pop_from(st):
+                node = S.FromAmpar(t)
+                node.inner_ty_ = e.inner_ty_
+                st.pop(node)
+            out.append(("⋉FROMU", _pop_from))
+        elif isinstance(e, FromPrimeF):
+            def _pop_fromp(st):
+                node = S.FromAmparPrime(t)
+                node.left_ty_ = e.left_ty_
+                st.pop(node)
+            out.append(("⋉FROM′U", _pop_fromp))
+        elif isinstance(e, FillUnitF):
+            out.append(("[1]EU", lambda st: st.pop(S.FillUnit(t))))
+        elif isinstance(e, FillInlF):
+            out.append(("[⊕]E₁U", lambda st: st.pop(S.FillInl(t))))
+        elif isinstance(e, FillInrF):
+            out.append(("[⊕]E₂U", lambda st: st.pop(S.FillInr(t))))
+        elif isinstance(e, FillPairF):
+            out.append(("[⊗]EU", lambda st: st.pop(S.FillPair(t))))
+        elif isinstance(e, FillBangF):
+            out.append(("[!]EU", lambda st: st.pop(S.FillBang(t, e.mode))))
+        elif isinstance(e, FillFunF):
+            def _pop_fill_fun(st):
+                node = S.FillFun(t, e.var, e.mode, e.body)
+                node.param_ty_ = e.param_ty_
+                st.pop(node)
+            out.append(("[⊸]EU", _pop_fill_fun))
+        elif isinstance(e, FillCompL):
+            out.append(("[]E_cU₁", lambda st: st.pop(S.FillComp(t, e.child))))
+        elif isinstance(e, FillCompR):
+            out.append(("[]E_cU₂", lambda st: st.pop(S.FillComp(S.Val(e.dest), t))))
+        elif isinstance(e, FillLeafL):
+            out.append(("[]E_LU₁", lambda st: st.pop(S.FillLeaf(t, e.arg))))
+        elif isinstance(e, FillLeafR):
+            out.append(("[]E_LU₂", lambda st: st.pop(S.FillLeaf(S.Val(e.dest), t))))
+        elif isinstance(e, (OpenCells, OpenAmpar)):
+            out.append(("⋉CL", lambda st: st.close(v)))
         return out
 
     if isinstance(t, S.App):
         if not is_val(t.arg):
-            out.append(("⊸EF₁", lambda: _push(cmd, AppFun(t.fn), t.arg)))
+            out.append(("⊸EF₁", lambda st: st.push(AppFun(t.fn), t.arg)))
         elif not is_val(t.fn):
-            out.append(("⊸EF₂", lambda: _push(cmd, AppArg(t.arg.value), t.fn)))
+            out.append(("⊸EF₂", lambda st: st.push(AppArg(t.arg.value), t.fn)))
         elif isinstance(t.fn.value, S.LamV):
             lam = t.fn.value
-            out.append(("⊸EC", lambda: Command(ctx, subst_var(lam.body, lam.var, t.arg.value), _hmaxes(cmd))))
+            out.append(("⊸EC", lambda st: st.refocus(subst_var(lam.body, lam.var, t.arg.value))))
         return out
 
     if isinstance(t, S.Seq):
         if not is_val(t.first):
-            out.append(("1EF", lambda: _push(cmd, SeqL(t.rest), t.first)))
+            out.append(("1EF", lambda st: st.push(SeqL(t.rest), t.first)))
         elif isinstance(t.first.value, S.UnitV):
-            out.append(("1EC", lambda: Command(ctx, t.rest, _hmaxes(cmd))))
+            out.append(("1EC", lambda st: st.refocus(t.rest)))
         return out
 
     if isinstance(t, S.CaseSum):
         if not is_val(t.scrut):
-            def _push_case_sum():
+            def _push_case_sum(st):
                 comp = CaseSumF(t.mode, t.left_var, t.left_body, t.right_var, t.right_body)
                 comp.scrut_ty_ = t.scrut_ty_
-                return _push(cmd, comp, t.scrut)
+                st.push(comp, t.scrut)
             out.append(("⊕EF", _push_case_sum))
         elif isinstance(t.scrut.value, S.InlV):
             out.append(
-                ("⊕EC₁", lambda: Command(ctx, subst_var(t.left_body, t.left_var, t.scrut.value.value), _hmaxes(cmd)))
+                ("⊕EC₁", lambda st: st.refocus(subst_var(t.left_body, t.left_var, t.scrut.value.value)))
             )
         elif isinstance(t.scrut.value, S.InrV):
             out.append(
-                ("⊕EC₂", lambda: Command(ctx, subst_var(t.right_body, t.right_var, t.scrut.value.value), _hmaxes(cmd)))
+                ("⊕EC₂", lambda st: st.refocus(subst_var(t.right_body, t.right_var, t.scrut.value.value)))
             )
         return out
 
     if isinstance(t, S.CasePair):
         if not is_val(t.scrut):
-            def _push_case_pair():
+            def _push_case_pair(st):
                 comp = CasePairF(t.mode, t.var1, t.var2, t.body)
                 comp.scrut_ty_ = t.scrut_ty_
-                return _push(cmd, comp, t.scrut)
+                st.push(comp, t.scrut)
             out.append(("⊗EF", _push_case_pair))
         elif isinstance(t.scrut.value, S.PairV):
             pv = t.scrut.value
             out.append(
-                ("⊗EC", lambda: Command(ctx, subst_var(subst_var(t.body, t.var1, pv.fst), t.var2, pv.snd), _hmaxes(cmd)))
+                ("⊗EC", lambda st: st.refocus(subst_var(subst_var(t.body, t.var1, pv.fst), t.var2, pv.snd)))
             )
         return out
 
     if isinstance(t, S.CaseBang):
         if not is_val(t.scrut):
-            def _push_case_bang():
+            def _push_case_bang(st):
                 comp = CaseBangF(t.mode, t.inner_mode, t.var, t.body)
                 comp.scrut_ty_ = t.scrut_ty_
-                return _push(cmd, comp, t.scrut)
+                st.push(comp, t.scrut)
             out.append(("!EF", _push_case_bang))
         elif isinstance(t.scrut.value, S.ModV) and t.scrut.value.mode == t.inner_mode:
-            out.append(
-                ("!EC", lambda: Command(ctx, subst_var(t.body, t.var, t.scrut.value.value), _hmaxes(cmd)))
-            )
+            out.append(("!EC", lambda st: st.refocus(subst_var(t.body, t.var, t.scrut.value.value))))
         return out
 
     if isinstance(t, S.UpdWith):
         if not is_val(t.scrut):
-            def _push_upd():
+            def _push_upd(st):
                 comp = UpdWithF(t.var, t.body)
                 comp.scrut_ty_ = t.scrut_ty_
-                return _push(cmd, comp, t.scrut)
+                st.push(comp, t.scrut)
             out.append(("⋉UPDF", _push_upd))
         elif isinstance(t.scrut.value, S.AmparV):
             av = t.scrut.value
 
-            def _open():
-                if av.holes:
-                    h3 = max(max(av.holes), _ctx_max(cmd)) + 1
-                    d = h3 - min(av.holes)
-                else:
-                    d = 0
-                holes = shift_set(av.holes, d)
-                left = cond_shift(av.left, av.holes, d)
-                right = cond_shift(av.right, av.holes, d)
-                focus = subst_var(t.body, t.var, right)
-                comp = OpenAmpar(holes, left)
-                return Command(
-                    ctx + (comp,), focus,
-                    _hmaxes(cmd) + (max(max(holes, default=0), hmax_value(left)),),
-                )
+            def _open(st):
+                d = max(max(av.holes), st.ctx_max()) + 1 - min(av.holes) if av.holes else 0
+                root, cells, static, right = _renamed(av, d)
+                st.push_open(OpenCells(root, cells, static), subst_var(t.body, t.var, right))
 
             out.append(("⋉OP", _open))
         return out
 
     if isinstance(t, S.ToAmpar):
         if not is_val(t.inner):
-            out.append(("⋉TOF", lambda: _push(cmd, ToF(), t.inner)))
+            out.append(("⋉TOF", lambda st: st.push(ToF(), t.inner)))
         else:
             out.append(
-                ("⋉TOC", lambda: Command(ctx, S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV())), _hmaxes(cmd)))
+                ("⋉TOC", lambda st: st.refocus(S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
             )
         return out
 
     if isinstance(t, S.FromAmpar):
         if not is_val(t.inner):
-            def _push_from():
+            def _push_from(st):
                 comp = FromF()
                 comp.inner_ty_ = t.inner_ty_
-                return _push(cmd, comp, t.inner)
+                st.push(comp, t.inner)
             out.append(("⋉FROMF", _push_from))
         else:
             v = t.inner.value
@@ -795,164 +979,196 @@ def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:
                 and isinstance(v.right, S.ModV)
                 and v.right.mode == ONE_INF
             ):
-                out.append(("⋉FROMC", lambda: Command(ctx, S.Val(S.PairV(v.left, v.right)), _hmaxes(cmd))))
+                out.append(("⋉FROMC", lambda st: st.refocus(S.Val(S.PairV(v.left, v.right)))))
         return out
 
     if isinstance(t, S.FromAmparPrime):
         if not is_val(t.inner):
-            def _push_fromp():
+            def _push_fromp(st):
                 comp = FromPrimeF()
                 comp.left_ty_ = t.left_ty_
-                return _push(cmd, comp, t.inner)
+                st.push(comp, t.inner)
             out.append(("⋉FROM′F", _push_fromp))
         else:
             v = t.inner.value
             if isinstance(v, S.AmparV) and isinstance(v.right, S.UnitV):
-                out.append(("⋉FROM′C", lambda: Command(ctx, S.Val(v.left), _hmaxes(cmd))))
+                out.append(("⋉FROM′C", lambda st: st.refocus(S.Val(v.left))))
         return out
 
     if isinstance(t, S.NewAmpar):
         out.append(
-            ("⋉NEWC", lambda: Command(ctx, S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1))), _hmaxes(cmd)))
+            ("⋉NEWC", lambda st: st.refocus(S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))))
         )
         return out
 
     if isinstance(t, S.FillUnit):
         if not is_val(t.dest):
-            out.append(("[1]EF", lambda: _push(cmd, FillUnitF(), t.dest)))
+            out.append(("[1]EF", lambda st: st.push(FillUnitF(), t.dest)))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
-            out.append(
-                ("[1]EC", lambda: _subst_cmd(cmd, h, frozenset(), S.UnitV(), S.Val(S.UnitV())))
-            )
+            out.append(("[1]EC", lambda st: st.write(h, S.UnitV(), S.Val(S.UnitV()))))
         return out
 
     if isinstance(t, (S.FillInl, S.FillInr)):
         inl = isinstance(t, S.FillInl)
         if not is_val(t.dest):
             comp = FillInlF() if inl else FillInrF()
-            out.append(("[⊕]E₁F" if inl else "[⊕]E₂F", lambda: _push(cmd, comp, t.dest)))
+            out.append(("[⊕]E₁F" if inl else "[⊕]E₂F", lambda st: st.push(comp, t.dest)))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
 
-            def _fill_sum():
-                n = _fresh_base(cmd, h) + 1
-                hollow = S.InlV(S.HoleV(n)) if inl else S.InrV(S.HoleV(n))
-                return _subst_cmd(cmd, h, frozenset({n}), hollow, S.Val(S.DestV(n)))
+            def _fill_sum(st):
+                n = st.fresh_base(h) + 1
+                cell = Cell()
+                hollow = S.InlV(cell) if inl else S.InrV(cell)
+                st.write(h, hollow, S.Val(S.DestV(n)), binds=((n, cell),))
 
             out.append(("[⊕]E₁C" if inl else "[⊕]E₂C", _fill_sum))
         return out
 
     if isinstance(t, S.FillPair):
         if not is_val(t.dest):
-            out.append(("[⊗]EF", lambda: _push(cmd, FillPairF(), t.dest)))
+            out.append(("[⊗]EF", lambda st: st.push(FillPairF(), t.dest)))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
 
-            def _fill_pair():
-                base = _fresh_base(cmd, h)
+            def _fill_pair(st):
+                base = st.fresh_base(h)
                 n1, n2 = base + 1, base + 2
-                hollow = S.PairV(S.HoleV(n1), S.HoleV(n2))
+                c1, c2 = Cell(), Cell()
                 focus = S.Val(S.PairV(S.DestV(n1), S.DestV(n2)))
-                return _subst_cmd(cmd, h, frozenset({n1, n2}), hollow, focus)
+                st.write(h, S.PairV(c1, c2), focus, binds=((n1, c1), (n2, c2)))
 
             out.append(("[⊗]EC", _fill_pair))
         return out
 
     if isinstance(t, S.FillBang):
         if not is_val(t.dest):
-            out.append(("[!]EF", lambda: _push(cmd, FillBangF(t.mode), t.dest)))
+            out.append(("[!]EF", lambda st: st.push(FillBangF(t.mode), t.dest)))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
 
-            def _fill_bang():
-                n = _fresh_base(cmd, h) + 1
-                hollow = S.ModV(t.mode, S.HoleV(n))
-                return _subst_cmd(cmd, h, frozenset({n}), hollow, S.Val(S.DestV(n)))
+            def _fill_bang(st):
+                n = st.fresh_base(h) + 1
+                cell = Cell()
+                st.write(h, S.ModV(t.mode, cell), S.Val(S.DestV(n)), binds=((n, cell),))
 
             out.append(("[!]EC", _fill_bang))
         return out
 
     if isinstance(t, S.FillFun):
         if not is_val(t.dest):
-            def _push_fill_fun():
+            def _push_fill_fun(st):
                 comp = FillFunF(t.var, t.mode, t.body)
                 comp.param_ty_ = t.param_ty_
-                return _push(cmd, comp, t.dest)
+                st.push(comp, t.dest)
             out.append(("[⊸]EF", _push_fill_fun))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
 
-            def _fill_fun():
-                assert free_vars_cached(t.body) <= {t.var}, "lambda value must be closed"
+            def _fill_fun(st):
+                free = free_vars_cached(t.body) - {t.var}
+                if free:
+                    raise OpenLambda(free)
                 lam = S.LamV(t.var, t.mode, t.body)
                 lam.param_ty_ = t.param_ty_
-                return _subst_cmd(cmd, h, frozenset(), lam, S.Val(S.UnitV()))
+                st.write(h, lam, S.Val(S.UnitV()), hmax_value(lam))
 
             out.append(("[⊸]EC", _fill_fun))
         return out
 
     if isinstance(t, S.FillComp):
         if not is_val(t.dest):
-            out.append(("[]E_cF₁", lambda: _push(cmd, FillCompL(t.child), t.dest)))
+            out.append(("[]E_cF₁", lambda st: st.push(FillCompL(t.child), t.dest)))
         elif not is_val(t.child):
-            out.append(("[]E_cF₂", lambda: _push(cmd, FillCompR(t.dest.value), t.child)))
+            out.append(("[]E_cF₂", lambda st: st.push(FillCompR(t.dest.value), t.child)))
         elif isinstance(t.dest.value, S.DestV) and isinstance(t.child.value, S.AmparV):
             h = t.dest.value.hole
             av = t.child.value
 
-            def _compose():
-                if av.holes:
-                    h2 = max(max(av.holes), _ctx_max(cmd), h) + 1
-                    d = h2 - min(av.holes)
-                else:
-                    d = 0
-                holes = shift_set(av.holes, d)
-                left = cond_shift(av.left, av.holes, d)
-                right = cond_shift(av.right, av.holes, d)
-                return _subst_cmd(cmd, h, holes, left, S.Val(right))
+            def _compose(st):
+                d = max(max(av.holes), st.ctx_max(), h) + 1 - min(av.holes) if av.holes else 0
+                root, cells, static, right = _renamed(av, d)
+                st.write(h, root, S.Val(right), static, cells.items())
 
             out.append(("[]E_cC", _compose))
         return out
 
     if isinstance(t, S.FillLeaf):
         if not is_val(t.dest):
-            out.append(("[]E_LF₁", lambda: _push(cmd, FillLeafL(t.arg), t.dest)))
+            out.append(("[]E_LF₁", lambda st: st.push(FillLeafL(t.arg), t.dest)))
         elif not is_val(t.arg):
-            out.append(("[]E_LF₂", lambda: _push(cmd, FillLeafR(t.dest.value), t.arg)))
+            out.append(("[]E_LF₂", lambda st: st.push(FillLeafR(t.dest.value), t.arg)))
         elif isinstance(t.dest.value, S.DestV):
             h = t.dest.value.hole
             v = t.arg.value
-            out.append(
-                ("[]E_LC", lambda: _subst_cmd(cmd, h, frozenset(), v, S.Val(S.UnitV())))
-            )
+            out.append(("[]E_LC", lambda st: st.write(h, v, S.Val(S.UnitV()), hmax_value(v))))
         return out
 
     if isinstance(t, S.Fix):
-        out.append(("fixC", lambda: Command(ctx, subst_fix(t.body, t.var, t), _hmaxes(cmd))))
+        out.append(("fixC", lambda st: st.refocus(subst_fix(t.body, t.var, t))))
         return out
 
     return out
 
 
+def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:
+    """All rules whose left-hand side matches the command, each with a thunk for its result.
+
+    The semantics is deterministic: on every reachable command this list
+    has at most one entry.  The harness re-scans it at every step.
+    """
+    top = cmd.ctx[-1] if cmd.ctx else None
+    return [(name, functools.partial(_apply, cmd, act)) for name, act in _match(top, cmd.focus)]
+
+
+def _apply(cmd: Command, act) -> Command:
+    st = _State.load(cmd)
+    act(st)
+    return st.snapshot()
+
+
 def step(cmd: Command):
-    if is_val(cmd.focus) and not cmd.ctx:
-        return Final(cmd.focus.value)
-    rules = applicable_rules(cmd)
-    if not rules:
-        from .printer import print_term
-        return Stuck("no rule applies to focus %s" % print_term(cmd.focus, 3))
-    if len(rules) > 1:
-        names = ", ".join(name for name, _ in rules)
-        raise AssertionError("determinism violation: %s all apply" % names)
-    name, thunk = rules[0]
-    return Stepped(name, thunk())
+    st = _State.load(cmd)
+    res = st.step()
+    return Stepped(res, st.snapshot()) if isinstance(res, str) else res
+
+
+class Replay(Sequence):
+    """The steps of a run as (rule, Command) pairs.
+
+    Its length is the run's step count.  The commands are built on first
+    read, by stepping again from the origin with the same code, and kept.
+    """
+
+    def __init__(self, origin: Command, rules: List[str]):
+        self.origin, self.rules, self._steps = origin, rules, None
+
+    def __len__(self):
+        return len(self.rules)
+
+    def __getitem__(self, i):
+        return self._materialized()[i]
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+    def _materialized(self) -> List[Tuple[str, Command]]:
+        if self._steps is None:
+            st = _State.load(self.origin)
+            steps = []
+            for rule in self.rules:
+                if st.step() != rule:
+                    raise MachineError("replay diverged from the run at step %d" % (len(steps) + 1))
+                steps.append((rule, st.snapshot()))
+            self._steps = steps
+        return self._steps
 
 
 @dataclass
 class Trace:
     origin: Command
-    steps: List[Tuple[str, Command]]
+    steps: Sequence  # of (rule, Command); a Replay when `run` made it
 
 
 @dataclass
@@ -976,17 +1192,17 @@ class StuckAt:
 def run(cmd: Command, fuel: int = 10**6):
     if fuel <= 0:
         raise ValueError("fuel must be positive")
-    steps: List[Tuple[str, Command]] = []
-    trace = Trace(cmd, steps)
-    cur = cmd
+    st = _State.load(cmd)
+    rules: List[str] = []
+    trace = Trace(cmd, Replay(cmd, rules))
     for _ in range(fuel):
-        res = step(cur)
-        if isinstance(res, Final):
+        res = st.step()
+        if type(res) is str:
+            rules.append(res)
+        elif isinstance(res, Final):
             return Finished(res.value, trace)
-        if isinstance(res, Stuck):
-            return StuckAt(cur, res.reason, trace)
-        steps.append((res.rule, res.command))
-        cur = res.command
+        else:
+            return StuckAt(st.snapshot(), res.reason, trace)
     return OutOfFuel(trace)
 
 

@@ -272,6 +272,20 @@ class AmparV:
     left: "Value"  # structure under construction (may contain holes)
     right: "Value"  # carries the matching destinations
 
+    @classmethod
+    def with_shape(cls, holes: frozenset, shape, right: "Value") -> "AmparV":
+        """An ampar whose `left` is `shape.read()`, read on first access."""
+        v = cls.__new__(cls)
+        v.__dict__.update(holes=holes, right=right, _shape=shape)
+        return v
+
+    def __getattr__(self, name):
+        # only reached for attributes missing from __dict__
+        if name == "left" and "_shape" in self.__dict__:
+            self.left = self._shape.read()
+            return self.left
+        raise AttributeError(name)
+
 
 @dataclass(eq=True)
 class UnitV:

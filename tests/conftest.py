@@ -3,6 +3,8 @@ import pytest
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
+from destcalc.modes import UNIT
+from destcalc.parser import parse_type
 from destcalc.prelude import load_prelude
 
 
@@ -21,3 +23,45 @@ def run_ok(term, fuel=10**6):
     res = M.run_term(term, fuel)
     assert isinstance(res, M.Finished), res
     return res
+
+
+def golden_term():
+    """The worked reduction of `() :: Inl ()`, with from'* as a primitive."""
+    body = S.CasePair(
+        UNIT, S.FillPair(S.FillInr(S.Var("d"))), "dx", "dxs",
+        S.Seq(S.FillLeaf(S.Var("dx"), S.Val(S.UnitV())),
+              S.FillLeaf(S.Var("dxs"), S.Val(S.InlV(S.UnitV())))),
+    )
+    return S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", body))
+
+
+def dlist_prog(env, k):
+    """toListN over k left-nested concatN of dsingleN (i % 10)."""
+    concat = env.runnable("concatN")
+    dsingle = env.runnable("dsingleN")
+    acc = app_chain(dsingle, H.encode_nat(0))
+    for i in range(1, k):
+        acc = S.App(S.App(concat, acc), app_chain(dsingle, H.encode_nat(i % 10)))
+    return S.App(env.runnable("toListN"), acc)
+
+
+def suite_programs(env):
+    """The eight programs of the A2/A3/A10 trace suite: name -> (term, expected type)."""
+    tree = ((), ((), None, None), None)
+    return {
+        "golden": (golden_term(), parse_type("List 1")),
+        "map": (app_chain(S.App(env.runnable("mapN"), env.runnable("succ")),
+                          H.encode_list([3, 1, 4])), None),
+        "sharing": (env.runnable("sharing"), None),
+        "minamide": (env.runnable("haDemo"), None),
+        "scope_store": (env.runnable("scopeStore"), None),
+        "queue": (S.App(env.runnable("dequeueN"),
+                        app_chain(S.App(env.runnable("enqueueN"),
+                                        app_chain(env.runnable("singletonN"), H.encode_nat(1))),
+                                  H.encode_nat(2))), None),
+        "dlist": (S.App(env.runnable("toListN"),
+                        S.App(S.App(env.runnable("concatN"),
+                                    app_chain(env.runnable("dsingleN"), H.encode_nat(1))),
+                              app_chain(env.runnable("dsingleN"), H.encode_nat(2)))), None),
+        "relabel": (app_chain(env.runnable("relabelDps"), H.encode_unit_tree(tree)), None),
+    }

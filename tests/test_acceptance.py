@@ -20,7 +20,7 @@ from destcalc.oracle import oracle_declarative_check
 from destcalc.prelude import _read, load_source
 from destcalc.typecheck import Checker, TypeCheckError
 
-from conftest import app_chain, run_ok
+from conftest import app_chain, dlist_prog, golden_term, run_ok, suite_programs
 
 SEED = 20260810
 
@@ -30,44 +30,16 @@ def report(criterion, ok, detail=""):
     assert ok, "%s: %s" % (criterion, detail)
 
 
-def golden_term():
-    body = S.CasePair(
-        UNIT, S.FillPair(S.FillInr(S.Var("d"))), "dx", "dxs",
-        S.Seq(S.FillLeaf(S.Var("dx"), S.Val(S.UnitV())),
-              S.FillLeaf(S.Var("dxs"), S.Val(S.InlV(S.UnitV())))),
-    )
-    return S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", body))
-
-
 @pytest.fixture(scope="module")
 def suite(env):
     """The trace suite shared by A2/A3/A10: program name -> (checker, type, trace)."""
     out = {}
-
-    def add(name, term, expected=None):
+    for name, (term, expected) in suite_programs(env).items():
         ck = env.checker()
         ty = ck.check_command(M.Command((), term), expected)
         res = M.run_term(term, 10**6)
         assert isinstance(res, M.Finished), name
         out[name] = (ck, ty, res.trace)
-
-    add("golden", golden_term(), parse_type("List 1"))
-    add("map", app_chain(S.App(env.runnable("mapN"), env.runnable("succ")),
-                         H.encode_list([3, 1, 4])))
-    add("sharing", env.runnable("sharing"))
-    add("minamide", env.runnable("haDemo"))
-    add("scope_store", env.runnable("scopeStore"))
-    add("queue", S.App(env.runnable("dequeueN"),
-                       app_chain(S.App(env.runnable("enqueueN"),
-                                       app_chain(env.runnable("singletonN"), H.encode_nat(1))),
-                                 H.encode_nat(2))))
-    dl = S.App(env.runnable("toListN"),
-               S.App(S.App(env.runnable("concatN"),
-                           app_chain(env.runnable("dsingleN"), H.encode_nat(1))),
-                     app_chain(env.runnable("dsingleN"), H.encode_nat(2))))
-    add("dlist", dl)
-    tree = ((), ((), None, None), None)
-    add("relabel", app_chain(env.runnable("relabelDps"), H.encode_unit_tree(tree)))
     return out
 
 
@@ -95,12 +67,23 @@ def test_a1_golden_trace():
     report("A1 golden-trace", ok, " ".join(map(str, detail)))
 
 
-def test_a2_preservation(suite):
+@pytest.fixture(scope="module")
+def preservation(suite):
+    """Preservation over every suite trace, computed once with a fresh checker:
+    program name -> (Verdict, CheckStats), shared by A2 and A10."""
+    out = {}
+    for name, (ck, ty, trace) in suite.items():
+        fresh = Checker(ck.tyenv)
+        out[name] = (H.check_preservation(trace, fresh, ty), fresh.stats)
+    return out
+
+
+def test_a2_preservation(suite, preservation):
     total = 0
     failures = []
-    for name, (ck, ty, trace) in suite.items():
+    for name, (_, _, trace) in suite.items():
         total += len(trace.steps)
-        v = H.check_preservation(trace, ck, ty)
+        v, _ = preservation[name]
         if not v.ok:
             failures.append((name, v.failures[:1]))
     ok = not failures and total >= 500
@@ -152,15 +135,6 @@ def test_a4_scope_escape(env):
            "run-to-true=%s rejections=%s oracle=%s" % (p1_ok, kinds, oracle_ok))
 
 
-def _dlist_prog(env, k):
-    concat = env.runnable("concatN")
-    dsingle = env.runnable("dsingleN")
-    acc = app_chain(dsingle, H.encode_nat(0))
-    for i in range(1, k):
-        acc = S.App(S.App(concat, acc), app_chain(dsingle, H.encode_nat(i % 10)))
-    return S.App(env.runnable("toListN"), acc)
-
-
 def _naive_prog(env, k):
     app = env.runnable("appendListN")
     cons = env.runnable("consN")
@@ -177,7 +151,7 @@ def _naive_prog(env, k):
 
 def test_a5_complexity(env):
     t0 = time.time()
-    d = {k: H.count_steps(_dlist_prog(env, k), 10**7) for k in (16, 32, 64)}
+    d = {k: H.count_steps(dlist_prog(env, k), 10**7) for k in (16, 32, 64)}
     n = {k: H.count_steps(_naive_prog(env, k), 10**7) for k in (16, 32, 64)}
     elapsed = time.time() - t0
     dlist_ratios = (d[32] / d[16], d[64] / d[32])
@@ -341,16 +315,14 @@ def test_a9_algebra_laws():
     report("A9 algebra-laws", bad == 0, "%d failing triples of 10^4" % bad)
 
 
-def test_a10_balance(suite):
+def test_a10_balance(suite, preservation):
     failures = []
     coercions = 0
-    for name, (ck, ty, trace) in suite.items():
+    for name, (_, _, trace) in suite.items():
         v = H.scan_trace_balance(trace)
         if not v.ok:
             failures.append((name, v.failures[:1]))
-        # re-check every command so the coercion counter covers the trace
-        fresh = Checker(ck.tyenv)
-        H.check_preservation(trace, fresh, ty)
-        coercions += fresh.stats.dest_coercions
+        # the preservation pass re-checked every command, so its counter covers the trace
+        coercions += preservation[name][1].dest_coercions
     ok = not failures and coercions == 0
     report("A10 balance", ok, "failures=%s dest-coercions=%d" % (failures, coercions))

@@ -99,3 +99,33 @@ def test_verify_does_not_change_result():
     verified = cli("run", CONS, "--verify")
     assert plain.stdout == verified.stdout
     assert plain.returncode == verified.returncode == 0
+
+
+def test_internal_error_exit_code(tmp_path):
+    f = tmp_path / "big.ld"
+    f.write_text("def n : Nat = 500\nmain = n")
+    r = cli("run", str(f))
+    assert r.returncode == 70
+    assert r.stderr.startswith("internal error: ") and r.stderr.count("\n") == 1
+    assert "Traceback" not in r.stderr
+
+
+def test_run_builds_no_step_commands(monkeypatch, capsys, env):
+    # only the origin is a Command: `run` keeps rule names, and counts steps without them
+    from destcalc import cli as C
+    from destcalc import harness as H
+    from destcalc import machine as M
+
+    built = []
+    init = M.Command.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(M.Command, "__init__", counting)
+    assert C.main(["run", CONS]) == 0
+    assert capsys.readouterr().out == "Inr ((), Inl ())\n"
+    assert len(built) == 1
+    assert H.count_steps(env.runnable("sharing")) == 480
+    assert len(built) == 2

@@ -69,7 +69,6 @@ def test_subst_var():
 
 
 def test_shift_ops():
-    assert M.shift_set(frozenset({1, 3}), 5) == frozenset({6, 8})
     assert M.cond_shift(S.InlV(S.HoleV(3)), frozenset({3}), 5) == S.InlV(S.HoleV(8))
     assert M.cond_shift(S.DestV(7), frozenset({3}), 5) == S.DestV(7)
     # an inner closed ampar binds its own names: they do not shift
@@ -88,13 +87,55 @@ def test_hnames():
 
 
 def test_hole_subst():
+    # a write goes into the hole's cell of the open ampar binding it, and rebinds new holes
     ctx = (M.OpenAmpar(frozenset({2}), S.HoleV(2)),)
-    out = M.hole_subst(ctx, 2, frozenset({4}), S.InrV(S.HoleV(4)))
-    assert out == (M.OpenAmpar(frozenset({4}), S.InrV(S.HoleV(4))),)
-    out = M.hole_subst(out, 4, frozenset(), S.UnitV())
-    assert out == (M.OpenAmpar(frozenset(), S.InrV(S.UnitV())),)
+    res = M.step(M.Command(ctx, S.FillInr(S.Val(S.DestV(2)))))
+    assert res.command.ctx == (M.OpenAmpar(frozenset({4}), S.InrV(S.HoleV(4))),)
+    res = M.step(M.Command(res.command.ctx, S.FillUnit(S.Val(S.DestV(4)))))
+    assert res.command.ctx == (M.OpenAmpar(frozenset(), S.InrV(S.UnitV())),)
     with pytest.raises(M.HoleNotFound):
-        M.hole_subst(ctx, 9, frozenset(), S.UnitV())
+        M.step(M.Command(ctx, S.FillUnit(S.Val(S.DestV(9)))))
+
+
+def test_hole_needs_exactly_one_cell():
+    twice = M.OpenAmpar(frozenset({2}), S.PairV(S.HoleV(2), S.HoleV(2)))
+    never = M.OpenAmpar(frozenset({2, 3}), S.HoleV(2))
+    for comp in (twice, never):
+        with pytest.raises(M.HoleNotFound):
+            M.step(M.Command((comp,), S.FillUnit(S.Val(S.DestV(2)))))
+
+
+def test_open_lambda_raises():
+    ctx = (M.OpenAmpar(frozenset({1}), S.HoleV(1)),)
+    t = S.FillFun(S.Val(S.DestV(1)), "x", UNIT, S.Var("y"))
+    with pytest.raises(M.OpenLambda):
+        M.step(M.Command(ctx, t))
+
+
+def test_name_clash_raises():
+    o = M.OpenCells(M.Cell(), {}, 0)
+    o.bind(3, M.Cell())
+    with pytest.raises(M.NameClash):
+        o.bind(3, M.Cell())
+
+
+def test_shared_ampar_opens_independently():
+    # the first open writes the closed ampar's cells in place, the second copies them
+    res = M.run_term(S.UpdWith(S.NewAmpar(None), "d", S.Var("d")), 100)
+    amp = S.Val(res.value)
+    first = M.run_term(S.UpdWith(amp, "d", S.FillInl(S.Var("d"))), 100)
+    second = M.run_term(
+        S.FromAmparPrime(S.UpdWith(amp, "d", S.FillLeaf(S.Var("d"), S.Val(S.UnitV())))), 100)
+    assert first.value == S.AmparV(frozenset({5}), S.InlV(S.HoleV(5)), S.DestV(5))
+    assert second.value == S.UnitV()
+    assert res.value == S.AmparV(frozenset({2}), S.HoleV(2), S.DestV(2))
+
+
+def test_run_keeps_no_commands():
+    res = M.run_term(S.Fix("x", S.TNamed("T", ()), S.Var("x")), 100)
+    steps = res.trace.steps
+    assert len(steps) == 100 and steps._steps is None
+    assert steps[0][0] == "fixC" and len(steps._steps) == 100
 
 
 def test_run_out_of_fuel_on_divergence():

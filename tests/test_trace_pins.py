@@ -1,0 +1,61 @@
+"""Pinned traces: the rule, the printed command of every step and the final value.
+
+The digests were recorded before the machine's state became a heap of hole
+cells; traces, rule names and minted hole numerals must stay byte-identical.
+A deliberate change to the semantics re-pins them.
+"""
+
+import hashlib
+
+import pytest
+
+from destcalc import harness as H
+from destcalc import machine as M
+from destcalc import syntax as S
+from destcalc.cli import print_command
+from destcalc.prelude import _read, load_source
+from destcalc.printer import print_value
+
+from conftest import app_chain, dlist_prog, suite_programs
+
+PINNED = {
+    "golden": "f63d555da4413942889322de959244c9ee5a0605760dc0984878a22d47de8e26",
+    "map": "2b51e9ebfcda1b65c82860664d0bbfe99edee44ba860ac53aa5297acce42d6d2",
+    "sharing": "aee1b34f2e66b11c4e2d8cfdfd2a34ed22e050063ef405607e8bb5e5aae777fe",
+    "minamide": "130f51fe4b502ae8dcef83d5530a988745f57a11af367457da8a6bf334144c4e",
+    "scope_store": "9ab702b783c6447bae50704ecf0588043ad6ae65cb17a8ba8d4287df96889c1c",
+    "queue": "2e59d06196714543736cba9c1ba6e41a0af2d940e690ea2599384f58d775cd40",
+    "dlist": "7d53619236246cc8bd396abce607ed7b802dea884f72bdf8da3405a45c95c691",
+    "relabel": "04bbe77dbbb70ad4066dd94013e4b29a9dcab33a101889d7323516dbf7935ef9",
+    "cons_example": "b1f62da09e3fec09cc6221f467c6b3f9d520f49786235b668df8dd197c231791",
+    "cons_example_from_prime": "1a321d25d8d6bef004cfcc2b4818b64062211136a6695df5a1f5e850743b721c",
+    "dlist16": "b16a1a419afb23bd3b5b4a32a3a52f3b06419fab572af6d7bb92500f7f3f65b5",
+    "map8": "387b83b0a7d60ec9258a436716784c05ef18fd4aae66c04fdc784c8597b11390",
+}
+
+
+def trace_digest(term) -> str:
+    res = M.run_term(term, 10**6)
+    assert isinstance(res, M.Finished)
+    sha = hashlib.sha256()
+    for rule, cmd in res.trace.steps:
+        sha.update(("%s\t%s\n" % (rule, print_command(cmd))).encode("utf-8"))
+    sha.update(("final\t%s\n" % print_value(res.value)).encode("utf-8"))
+    return sha.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def programs(env):
+    progs = {name: term for name, (term, _) in suite_programs(env).items()}
+    demo = load_source(_read("demos/cons_example.ld"), base=env)
+    progs["cons_example"] = demo.runnable(demo.main)
+    progs["cons_example_from_prime"] = demo.runnable(demo.main, from_prime=True)
+    progs["dlist16"] = dlist_prog(env, 16)
+    progs["map8"] = app_chain(S.App(env.runnable("mapN"), env.runnable("succ")),
+                              H.encode_list([3, 1, 4, 1, 5, 9, 2, 6]))
+    return progs
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trace_pinned(programs, name):
+    assert trace_digest(programs[name]) == PINNED[name]
