@@ -15,7 +15,7 @@ from . import harness as H
 from . import machine as M
 from . import prelude as P
 from . import syntax as S
-from .parser import ParseError, parse
+from .parser import ParseError
 from .printer import print_term, print_type, print_value
 from .typecheck import TypeCheckError
 
@@ -76,8 +76,22 @@ def print_component(e) -> str:
     raise TypeError(e)
 
 
-def print_command(cmd: M.Command) -> str:
-    parts = ["[]"] + [print_component(e) for e in cmd.ctx]
+def print_command(cmd: M.Command, shown=None) -> str:
+    """One command on one line.
+
+    `shown`, a list kept across the commands of one trace, holds the
+    (component, string) at each context position; consecutive commands
+    share components, so a component that stays in place is printed once.
+    """
+    if shown is None:
+        shown = []
+    del shown[len(cmd.ctx):]
+    for i, e in enumerate(cmd.ctx):
+        if i == len(shown):
+            shown.append((e, print_component(e)))
+        elif shown[i][0] is not e:
+            shown[i] = (e, print_component(e))
+    parts = ["[]"] + [s for _, s in shown]
     return "(%s)[%s]" % (" o ".join(parts), print_term(cmd.focus, 0))
 
 
@@ -170,8 +184,9 @@ def _main(args) -> int:
     doc = {"program": args.file, "type": print_type(main_ty)}
     steps_doc = []
     if args.command == "trace" and not args.json_out:
+        shown = []
         for i, (rule, cmd) in enumerate(res.trace.steps, start=1):
-            print("step %d  %s  %s" % (i, rule, print_command(cmd)))
+            print("step %d  %s  %s" % (i, rule, print_command(cmd, shown)))
 
     verdicts = None
     exit_code = EXIT_OK
@@ -200,8 +215,9 @@ def _main(args) -> int:
             exit_code = EXIT_VERDICT
 
     if args.json_out:
+        shown = []
         for i, (rule, cmd) in enumerate(res.trace.steps, start=1):
-            entry = {"i": i, "rule": rule, "command": print_command(cmd)}
+            entry = {"i": i, "rule": rule, "command": print_command(cmd, shown)}
             if args.verify and verdicts is not None and verdicts["preservation"]:
                 entry["type"] = print_type(main_ty)
             steps_doc.append(entry)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from . import machine as M
 from . import syntax as S
-from .typecheck import Checker, CheckStats, TypeCheckError
+from .typecheck import Checker, TypeCheckError
 
 
 @dataclass
@@ -91,7 +91,7 @@ def _count_occ(x, h: int, kind, problems=None) -> int:
     """
     if isinstance(x, kind) and x.hole == h:
         return 1
-    if isinstance(x, (S.HoleV, S.DestV, S.UnitV)):
+    if isinstance(x, (S.HoleV, S.DestV, S.UnitV)) or M.hmax_value(x) < h:
         return 0
     if isinstance(x, S.AmparV):
         if h in x.holes:
@@ -107,6 +107,8 @@ def _count_occ(x, h: int, kind, problems=None) -> int:
 
 
 def _count_occ_term(t, h: int, kind, problems=None) -> int:
+    if M.hmax_term(t) < h:  # no name as large as h: no occurrence, no uneven case
+        return 0
     if isinstance(t, S.Val):
         return _count_occ(t.value, h, kind, problems)
     if isinstance(t, S.CaseSum):
@@ -149,6 +151,8 @@ def _count_occ_component(e, h: int, kind, problems=None) -> int:
 
 
 def _scan_value_balance(v, failures, where):
+    if M.hmax_value(v) == 0:  # names start at 1, so there is no binder below
+        return
     if isinstance(v, S.AmparV):
         probs: List[str] = []
         for h in v.holes:
@@ -172,6 +176,8 @@ def _scan_value_balance(v, failures, where):
 
 
 def _scan_term_balance(t, failures, where):
+    if M.hmax_term(t) == 0:
+        return
     if isinstance(t, S.Val):
         _scan_value_balance(t.value, failures, where)
         return
@@ -181,45 +187,85 @@ def _scan_term_balance(t, failures, where):
             _scan_term_balance(v, failures, where)
 
 
-def scan_balance(cmd: M.Command) -> Verdict:
-    """One hole and one destination per bound name, for every binder in view."""
-    failures: List[Tuple[int, str]] = []
-    problems: List[str] = []
-    for i, e in enumerate(cmd.ctx):
+class _Facts:
+    """What the balance scan of a command learns from one of its components alone."""
+
+    __slots__ = ("comp", "names", "own", "holes", "counts")
+
+    def __init__(self, e):
+        self.comp = e
+        self.names = M.hnames_component(e)
+        self.own: List[Tuple[int, str]] = []  # failures of binders inside the component
+        self.holes = []  # an open ampar's (name, hole count, problems found counting)
+        self.counts = {}  # (name, kind) -> (occurrences in the component, problems found)
         if isinstance(e, M.OpenAmpar):
-            rest = cmd.ctx[i + 1 :]
             for h in e.holes:
-                holes = _count_occ(e.left, h, S.HoleV, problems)
-                dests = _count_occ_term(cmd.focus, h, S.DestV, problems)
-                for e2 in rest:
-                    dests += _count_occ_component(e2, h, S.DestV, problems)
-                stray = _count_occ_term(cmd.focus, h, S.HoleV, problems)
-                for e2 in rest:
-                    stray += _count_occ_component(e2, h, S.HoleV, problems)
-                if holes != 1 or dests != 1 or stray != 0:
-                    failures.append(
-                        (0, "open ampar name %d: %d hole(s), %d destination(s), %d stray hole(s)"
-                         % (h, holes, dests, stray))
-                    )
-            _scan_value_balance(e.left, failures, "open ampar structure")
+                probs: List[str] = []
+                self.holes.append((h, _count_occ(e.left, h, S.HoleV, probs), probs))
+            _scan_value_balance(e.left, self.own, "open ampar structure")
         else:
             for f in S.field_names(type(e)):
                 v = getattr(e, f)
                 if isinstance(v, S._TERM_TYPES):
-                    _scan_term_balance(v, failures, "component")
+                    _scan_term_balance(v, self.own, "component")
                 elif isinstance(v, S._VALUE_TYPES):
-                    _scan_value_balance(v, failures, "component")
+                    _scan_value_balance(v, self.own, "component")
+
+    def count(self, h: int, kind, problems: List[str]) -> int:
+        if h not in self.names:  # then there is nothing to count, and no uneven case
+            return 0
+        hit = self.counts.get((h, kind))
+        if hit is None:
+            probs: List[str] = []
+            hit = self.counts[h, kind] = (_count_occ_component(self.comp, h, kind, probs), probs)
+        problems.extend(hit[1])
+        return hit[0]
+
+
+def _scan(cmd: M.Command, memo: dict) -> List[Tuple[int, str]]:
+    """The balance failures of one command.  `memo` maps id(component) to its
+    _Facts, which keep the component; the commands of one trace share it."""
+    facts = []
+    for e in cmd.ctx:
+        f = memo.get(id(e))
+        if f is None:
+            f = memo[id(e)] = _Facts(e)
+        facts.append(f)
+    failures: List[Tuple[int, str]] = []
+    problems: List[str] = []
+    for i, f in enumerate(facts):
+        for h, holes, probs in f.holes:
+            problems.extend(probs)
+            counts = []
+            for kind in (S.DestV, S.HoleV):
+                n = _count_occ_term(cmd.focus, h, kind, problems)
+                for f2 in facts[i + 1 :]:
+                    n += f2.count(h, kind, problems)
+                counts.append(n)
+            dests, stray = counts
+            if holes != 1 or dests != 1 or stray != 0:
+                failures.append(
+                    (0, "open ampar name %d: %d hole(s), %d destination(s), %d stray hole(s)"
+                     % (h, holes, dests, stray))
+                )
+        failures.extend(f.own)
     _scan_term_balance(cmd.focus, failures, "focus")
     failures.extend((0, p) for p in problems)
-    return Verdict.from_failures(failures)
+    return failures
+
+
+def scan_balance(cmd: M.Command) -> Verdict:
+    """One hole and one destination per bound name, for every binder in view."""
+    return Verdict.from_failures(_scan(cmd, {}))
 
 
 def scan_trace_balance(tr: M.Trace) -> Verdict:
+    """`scan_balance` of every command, each failure at its step.  Consecutive
+    commands share components, so each component is scanned once."""
     failures = []
+    memo: dict = {}
     for i, cmd in _trace_commands(tr):
-        v = scan_balance(cmd)
-        if not v.ok:
-            failures.extend((i, msg) for _, msg in v.failures)
+        failures.extend((i, msg) for _, msg in _scan(cmd, memo))
     return Verdict.from_failures(failures)
 
 

@@ -199,12 +199,6 @@ class NotInvertible(ContextError):
         self.hole = h
 
 
-def binding_mode(b: Binding) -> Mode:
-    if isinstance(b, HoleB):
-        return b.hole_mode
-    return b.mode
-
-
 def scale_binding(n: Mode, b: Binding) -> Binding:
     # Pointwise multiplication of the outer mode; a destination's inner
     # mode is part of its type and is never rescaled.
@@ -259,20 +253,3 @@ def hole_inverse(delta: TypingContext) -> TypingContext:
             raise NotInvertible(name)
         out[name] = HoleB(b.ty, b.hole_mode)
     return out
-
-
-def is_gamma(ctx: TypingContext) -> bool:
-    """Term-typing contexts: variable and destination bindings only."""
-    return all(
-        (isinstance(b, VarB) and isinstance(n, str)) or (isinstance(b, DestB) and isinstance(n, int))
-        for n, b in ctx.items()
-    )
-
-
-def is_theta(ctx: TypingContext) -> bool:
-    """Value-typing contexts: destination and hole bindings only."""
-    return all(isinstance(b, (DestB, HoleB)) and isinstance(n, int) for n, b in ctx.items())
-
-
-def is_delta(ctx: TypingContext) -> bool:
-    return all(isinstance(b, DestB) and isinstance(n, int) for n, b in ctx.items())

@@ -7,7 +7,7 @@ for holes, `->n` for destinations and `{#n ...}/l, r/` for ampars.
 
 from __future__ import annotations
 
-from .modes import INF, Mode, UNIT
+from .modes import Mode, UNIT
 from . import syntax as S
 
 
@@ -187,19 +187,3 @@ def print_program(prog) -> str:
     if prog.main is not None:
         lines.append("main = %s" % prog.main)
     return "\n".join(lines) + "\n"
-
-
-def pretty(x) -> str:
-    """Render a mode, type, term, value, or whole program."""
-    from .parser import Program
-    from .modes import Mode as _Mode
-
-    if isinstance(x, _Mode):
-        return print_mode(x)
-    if isinstance(x, Program):
-        return print_program(x)
-    if isinstance(x, S._VALUE_TYPES):
-        return print_value(x)
-    if isinstance(x, S._TYPE_TYPES):
-        return print_type(x)
-    return print_term(x)

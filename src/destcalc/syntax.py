@@ -497,37 +497,6 @@ def max_age_exponent(t) -> int:
 _TYPE_TYPES = (TUnit, TSum, TProd, TBang, TArrow, TDest, TAmpar, TNamed)
 
 
-def free_vars(t) -> set:
-    """Free term variables.  Value subterms are closed and contribute none."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Val):
-        return set()
-    if isinstance(t, (LamS, FillFun)):
-        inner = free_vars(t.body)
-        inner.discard(t.var)
-        if isinstance(t, FillFun):
-            inner |= free_vars(t.dest)
-        return inner
-    if isinstance(t, CaseSum):
-        out = free_vars(t.scrut)
-        out |= free_vars(t.left_body) - {t.left_var}
-        out |= free_vars(t.right_body) - {t.right_var}
-        return out
-    if isinstance(t, CasePair):
-        return free_vars(t.scrut) | (free_vars(t.body) - {t.var1, t.var2})
-    if isinstance(t, CaseBang):
-        return free_vars(t.scrut) | (free_vars(t.body) - {t.var})
-    if isinstance(t, UpdWith):
-        return free_vars(t.scrut) | (free_vars(t.body) - {t.var})
-    if isinstance(t, Fix):
-        return free_vars(t.body) - {t.var}
-    out = set()
-    for c in _children(t):
-        out |= free_vars(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Desugaring
 

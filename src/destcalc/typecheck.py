@@ -12,12 +12,14 @@ from the expected type reaching it.
 
 Checking stamps scrutinee and parameter types onto the visited nodes, so
 commands the machine later builds out of those nodes can be re-checked
-mid-trace (preservation) without re-running global inference.
+mid-trace (preservation) without re-running global inference.  A checker
+remembers the typing of the terms that recur across the commands of a
+trace, so re-checking a command costs what changed plus the focus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .modes import (
@@ -50,12 +52,6 @@ def _err(kind, msg, node=None, **info):
 class CheckStats:
     # times a destination binding with outer mode other than 1v was consumed
     dest_coercions: int = 0
-
-
-@dataclass
-class UsageReport:
-    ty: object
-    usage: Dict[Name, ModeSet]
 
 
 # Expected-type patterns for bidirectional flow.
@@ -282,6 +278,12 @@ class Checker:
         self.stats = stats if stats is not None else CheckStats()
         self.mode_strict = mode_strict  # False: elaborate types, ignore modes
         self.type_log = type_log  # id(node) -> synthesized type, when set
+        # Consecutive commands of a trace share their context components and
+        # the lambda values in them, so what depends only on such an object is
+        # kept here while this checker lives.  Entries hold the object whose id
+        # is their key, so that id cannot be reused.
+        self._memo = {}  # see `_infer_memo`
+        self._hole_names = {}  # id(component) -> (component, its hole names)
 
     # -- type head helpers ---------------------------------------------------
 
@@ -402,10 +404,6 @@ class Checker:
         for name, b in gamma.items():
             self._check_mode(name, b, usage, t)
         return ty
-
-    def usage_report(self, gamma: TypingContext, t, expected=None) -> UsageReport:
-        ty, usage = self.infer(gamma, t, expected)
-        return UsageReport(ty, usage)
 
     def check_value(self, theta: TypingContext, v, expected=None):
         for k, b in theta.items():
@@ -689,6 +687,9 @@ class Checker:
                 out[k] = frozenset(m for m in s if m == MANY_INF)
             return t.ann, out
 
+        if isinstance(t, _Memo):
+            return self._infer_memo(gamma, t.term, exp)
+
         if isinstance(t, OpenFocus):
             return self._infer_open(gamma, t, exp)
 
@@ -759,6 +760,34 @@ class Checker:
             t.ann = S.TAmpar(left, S.TDest(UNIT, left))
         out = S.TAmpar(left, S.TDest(UNIT, left))
         return self.conform(out, exp, t), {}
+
+    def _infer_memo(self, gamma, x, exp):
+        """Infer a term or value that recurs from command to command, once per key.
+
+        These are what context components hold and the bodies of lambda
+        values.  The result is a function of `x`, the expected type and the
+        bindings `x` can read: those of its free variables and of the hole
+        names up to its largest one.  A hit replays the destination
+        coercions the first inference counted.  Failures are not kept.
+        """
+        t = S.Val(x) if isinstance(x, S._VALUE_TYPES) else x
+        if self.type_log is not None:
+            return self.infer(gamma, t, exp)
+        top = M.hmax_term(t)
+        key = (
+            id(x), exp,
+            tuple((v, gamma.get(v)) for v in M.free_vars_cached(t)),
+            frozenset((h, b) for h, b in gamma.items() if type(h) is int and h <= top),
+        )
+        hit = self._memo.get(key)
+        if hit is not None:
+            _, ty, usage, coercions = hit
+            self.stats.dest_coercions += coercions
+            return ty, dict(usage)
+        before = self.stats.dest_coercions
+        ty, usage = self.infer(gamma, t, exp)
+        self._memo[key] = (x, ty, dict(usage), self.stats.dest_coercions - before)
+        return ty, usage
 
     def _infer_open(self, gamma, t: OpenFocus, exp):
         left_exp, right_exp = self._amp_parts(exp, t)
@@ -902,7 +931,7 @@ class Checker:
             v.param_ty_ = dom
             g = {k: b for k, b in theta.items() if isinstance(b, DestB)}
             g[v.var] = VarB(v.mode, dom)
-            cod, bu = self.infer(g, v.body, cod_exp)
+            cod, bu = self._infer_memo(g, v.body, cod_exp)
             bu = self._pop_binder(bu, v.var, v.mode, dom, None)
             for k in bu:
                 if isinstance(k, str):
@@ -962,16 +991,24 @@ class Checker:
                         % sorted(overlap),
                         None, holes=overlap,
                     )
-                seen_outside |= comp.holes
-                seen_outside |= M.hnames_value(comp.left)
-            else:
-                seen_outside |= M.hnames_component(comp)
+            hit = self._hole_names.get(id(comp))
+            if hit is None:
+                hit = self._hole_names[id(comp)] = (comp, M.hnames_component(comp))
+            seen_outside |= hit[1]
 
     _probe_capture = None
 
 
 @dataclass
 class _Probe:
+    pos = None
+
+
+@dataclass
+class _Memo:
+    """Internal node: a term or value a context component holds, inferred via `_infer_memo`."""
+
+    term: object
     pos = None
 
 
@@ -984,27 +1021,28 @@ def _wrap_components(ctx, probe):
 
 def _wrap_component(comp, inner):
     if isinstance(comp, M.AppFun):
-        return S.App(comp.fn, inner)
+        return S.App(_Memo(comp.fn), inner)
     if isinstance(comp, M.AppArg):
-        return S.App(inner, S.Val(comp.arg))
+        return S.App(inner, _Memo(comp.arg))
     if isinstance(comp, M.SeqL):
-        return S.Seq(inner, comp.rest)
+        return S.Seq(inner, _Memo(comp.rest))
     if isinstance(comp, M.CaseSumF):
         node = S.CaseSum(
-            comp.mode, inner, comp.left_var, comp.left_body, comp.right_var, comp.right_body
+            comp.mode, inner, comp.left_var, _Memo(comp.left_body),
+            comp.right_var, _Memo(comp.right_body),
         )
         node.scrut_ty_ = comp.scrut_ty_
         return node
     if isinstance(comp, M.CasePairF):
-        node = S.CasePair(comp.mode, inner, comp.var1, comp.var2, comp.body)
+        node = S.CasePair(comp.mode, inner, comp.var1, comp.var2, _Memo(comp.body))
         node.scrut_ty_ = comp.scrut_ty_
         return node
     if isinstance(comp, M.CaseBangF):
-        node = S.CaseBang(comp.mode, inner, comp.inner_mode, comp.var, comp.body)
+        node = S.CaseBang(comp.mode, inner, comp.inner_mode, comp.var, _Memo(comp.body))
         node.scrut_ty_ = comp.scrut_ty_
         return node
     if isinstance(comp, M.UpdWithF):
-        node = S.UpdWith(inner, comp.var, comp.body)
+        node = S.UpdWith(inner, comp.var, _Memo(comp.body))
         node.scrut_ty_ = comp.scrut_ty_
         return node
     if isinstance(comp, M.ToF):
@@ -1028,15 +1066,15 @@ def _wrap_component(comp, inner):
     if isinstance(comp, M.FillBangF):
         return S.FillBang(inner, comp.mode)
     if isinstance(comp, M.FillFunF):
-        node = S.FillFun(inner, comp.var, comp.mode, comp.body)
+        node = S.FillFun(inner, comp.var, comp.mode, _Memo(comp.body))
         node.param_ty_ = comp.param_ty_
         return node
     if isinstance(comp, M.FillCompL):
-        return S.FillComp(inner, comp.child)
+        return S.FillComp(inner, _Memo(comp.child))
     if isinstance(comp, M.FillCompR):
         return S.FillComp(S.Val(comp.dest), inner)
     if isinstance(comp, M.FillLeafL):
-        return S.FillLeaf(inner, comp.arg)
+        return S.FillLeaf(inner, _Memo(comp.arg))
     if isinstance(comp, M.FillLeafR):
         return S.FillLeaf(S.Val(comp.dest), inner)
     if isinstance(comp, M.OpenAmpar):

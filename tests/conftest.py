@@ -6,6 +6,7 @@ from destcalc import syntax as S
 from destcalc.modes import UNIT
 from destcalc.parser import parse_type
 from destcalc.prelude import load_prelude
+from destcalc.typecheck import Checker
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +66,27 @@ def suite_programs(env):
                               app_chain(env.runnable("dsingleN"), H.encode_nat(2)))), None),
         "relabel": (app_chain(env.runnable("relabelDps"), H.encode_unit_tree(tree)), None),
     }
+
+
+@pytest.fixture(scope="session")
+def suite(env):
+    """The trace suite of A2/A3/A10: program name -> (checker, type, trace)."""
+    out = {}
+    for name, (term, expected) in suite_programs(env).items():
+        ck = env.checker()
+        ty = ck.check_command(M.Command((), term), expected)
+        res = M.run_term(term, 10**6)
+        assert isinstance(res, M.Finished), name
+        out[name] = (ck, ty, res.trace)
+    return out
+
+
+@pytest.fixture(scope="session")
+def preservation(suite):
+    """Preservation over every suite trace, computed once with one new checker per
+    trace: program name -> (Verdict, CheckStats), shared by A2 and A10."""
+    out = {}
+    for name, (ck, ty, trace) in suite.items():
+        fresh = Checker(ck.tyenv)
+        out[name] = (H.check_preservation(trace, fresh, ty), fresh.stats)
+    return out

@@ -20,7 +20,7 @@ from destcalc.oracle import oracle_declarative_check
 from destcalc.prelude import _read, load_source
 from destcalc.typecheck import Checker, TypeCheckError
 
-from conftest import app_chain, dlist_prog, golden_term, run_ok, suite_programs
+from conftest import app_chain, dlist_prog, golden_term, run_ok
 
 SEED = 20260810
 
@@ -28,19 +28,6 @@ SEED = 20260810
 def report(criterion, ok, detail=""):
     print("%s %s %s" % (criterion, "PASS" if ok else "FAIL", detail), flush=True)
     assert ok, "%s: %s" % (criterion, detail)
-
-
-@pytest.fixture(scope="module")
-def suite(env):
-    """The trace suite shared by A2/A3/A10: program name -> (checker, type, trace)."""
-    out = {}
-    for name, (term, expected) in suite_programs(env).items():
-        ck = env.checker()
-        ty = ck.check_command(M.Command((), term), expected)
-        res = M.run_term(term, 10**6)
-        assert isinstance(res, M.Finished), name
-        out[name] = (ck, ty, res.trace)
-    return out
 
 
 def test_a1_golden_trace():
@@ -65,17 +52,6 @@ def test_a1_golden_trace():
         detail = ["value=%s prefix=%s suffix=%s numerals=%s %.3fs"
                   % (value_ok, prefix_ok, suffix_ok, numerals_ok, elapsed)]
     report("A1 golden-trace", ok, " ".join(map(str, detail)))
-
-
-@pytest.fixture(scope="module")
-def preservation(suite):
-    """Preservation over every suite trace, computed once with a fresh checker:
-    program name -> (Verdict, CheckStats), shared by A2 and A10."""
-    out = {}
-    for name, (ck, ty, trace) in suite.items():
-        fresh = Checker(ck.tyenv)
-        out[name] = (H.check_preservation(trace, fresh, ty), fresh.stats)
-    return out
 
 
 def test_a2_preservation(suite, preservation):

@@ -1,5 +1,6 @@
 """Trace verdicts, encodings, native oracles, step counting."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.modes import UNIT
-from destcalc.typecheck import Checker, TypeEnv
+from destcalc.typecheck import Checker, CheckStats, TypeEnv
 from destcalc.parser import TypeDef, parse_type
 
 from conftest import run_ok
@@ -84,6 +85,94 @@ def test_balance(golden_trace):
         S.Seq(S.FillUnit(S.Val(S.DestV(1))), S.FillUnit(S.Val(S.DestV(1)))),
     )
     assert not H.scan_balance(dup).ok
+
+
+class _FreshPerCommand:
+    """A checker stand-in that checks every command with a new `Checker`."""
+
+    def __init__(self, tyenv):
+        self.tyenv, self.stats = tyenv, CheckStats()
+
+    def check_command(self, cmd, expected=None):
+        ck = Checker(self.tyenv)
+        try:
+            return ck.check_command(cmd, expected)
+        finally:
+            self.stats.dest_coercions += ck.stats.dest_coercions
+
+
+def test_preservation_shared_checker_matches_fresh(suite, preservation):
+    # one checker per trace (the fixture) against one checker per command
+    for name, (ck, ty, trace) in suite.items():
+        shared, shared_stats = preservation[name]
+        fresh = _FreshPerCommand(ck.tyenv)
+        v = H.check_preservation(trace, fresh, ty)
+        assert (v.ok, v.failures) == (shared.ok, shared.failures), name
+        assert fresh.stats.dest_coercions == shared_stats.dest_coercions, name
+
+
+def _kept_component(steps, run=4):
+    """(k, e): a component with a term field, in command k and, as the same
+    object, in the `run` commands after it."""
+    for k, (_, cmd) in enumerate(steps):
+        for e in cmd.ctx:
+            if isinstance(e, (M.SeqL, M.CasePairF, M.CaseSumF)) and all(
+                any(x is e for x in later.ctx) for _, later in steps[k + 1 : k + 1 + run]
+            ):
+                return k, e
+    raise AssertionError("no component stays in place")
+
+
+def test_preservation_fails_where_a_kept_component_breaks(suite):
+    ck, ty, trace = suite["queue"]
+    steps = list(trace.steps)
+    k, e = _kept_component(steps)
+    field = {M.SeqL: "rest", M.CasePairF: "body", M.CaseSumF: "left_body"}[type(e)]
+    bad = dataclasses.replace(e, **{field: S.Var("nowhere")})
+    for j in range(k, len(steps)):
+        rule, cmd = steps[j]
+        if any(x is e for x in cmd.ctx):
+            ctx = tuple(bad if x is e else x for x in cmd.ctx)
+            steps[j] = (rule, M.Command(ctx, cmd.focus))
+    corrupted = M.Trace(trace.origin, steps)
+    shared = H.check_preservation(corrupted, Checker(ck.tyenv), ty)
+    fresh = H.check_preservation(corrupted, _FreshPerCommand(ck.tyenv), ty)
+    assert not shared.ok and shared.failures == fresh.failures
+    assert shared.failures[0][0] == k + 1  # steps are numbered from 1
+    # the same checker, still holding what it learnt before the corruption, agrees
+    ck2 = Checker(ck.tyenv)
+    assert H.check_preservation(trace, ck2, ty).ok
+    assert H.check_preservation(corrupted, ck2, ty).failures == fresh.failures
+
+
+def _per_command_balance(tr):
+    return [(i, msg) for i, cmd in enumerate([tr.origin] + [c for _, c in tr.steps])
+            for _, msg in H.scan_balance(cmd).failures]
+
+
+def test_trace_balance_matches_per_command_scans(suite):
+    for name, (_, _, trace) in suite.items():
+        assert H.scan_trace_balance(trace).failures == _per_command_balance(trace), name
+
+
+def test_trace_balance_reports_a_repeated_unbalanced_component():
+    open1 = M.OpenAmpar(frozenset({1}), S.HoleV(1))
+    twice = M.SeqL(S.Seq(S.FillUnit(S.Val(S.DestV(1))), S.FillUnit(S.Val(S.DestV(1)))))
+    lone = M.AppArg(S.AmparV(frozenset({2}), S.HoleV(2), S.UnitV()))  # no destination for 2
+    uneven = M.CaseSumF(UNIT, "x", S.FillUnit(S.Val(S.DestV(1))), "y", S.Val(S.UnitV()))
+    unit = S.Val(S.UnitV())
+    cmds = [
+        M.Command((open1, lone, twice), unit),
+        M.Command((open1, lone, twice), S.FillUnit(S.Val(S.DestV(1)))),
+        M.Command((open1, lone, uneven, twice), unit),
+        M.Command((open1, uneven), S.Val(S.DestV(1))),
+        M.Command((open1, uneven), unit),
+    ]
+    tr = M.Trace(cmds[0], [("r", c) for c in cmds[1:]])
+    want = _per_command_balance(tr)
+    assert {i for i, _ in want} == set(range(len(cmds)))
+    assert any("unevenly" in msg for _, msg in want)
+    assert H.scan_trace_balance(tr).failures == want
 
 
 def test_count_steps():

@@ -78,13 +78,14 @@ def test_lower_from_prime_shape():
 
 
 def test_free_vars():
-    assert S.free_vars(S.Var("x")) == {"x"}
-    assert S.free_vars(S.Val(S.LamV("x", UNIT, S.Var("x")))) == set()
-    assert S.free_vars(S.FillLeaf(S.Var("d"), S.Var("x"))) == {"d", "x"}
-    t = parse_term(r"\x -> y ; x")
-    assert S.free_vars(t) == {"y"}
-    t = parse_term("case p of (a, b) -> (b, a) ; c")
-    assert S.free_vars(t) == {"p", "c"}
+    fv = M.free_vars_cached
+    assert fv(S.Var("x")) == {"x"}
+    assert fv(S.Val(S.LamV("x", UNIT, S.Var("x")))) == set()
+    assert fv(S.FillLeaf(S.Var("d"), S.Var("x"))) == {"d", "x"}
+    t = S.desugar(parse_term(r"\x -> y ; x"))
+    assert fv(t) == {"y"}
+    t = S.desugar(parse_term("case p of (a, b) -> (b, a) ; c"))
+    assert fv(t) == {"p", "c"}
 
 
 def test_term_size_and_ages():

@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from destcalc import cli
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
@@ -37,9 +38,9 @@ PINNED = {
 def trace_digest(term) -> str:
     res = M.run_term(term, 10**6)
     assert isinstance(res, M.Finished)
-    sha = hashlib.sha256()
+    sha, shown = hashlib.sha256(), []
     for rule, cmd in res.trace.steps:
-        sha.update(("%s\t%s\n" % (rule, print_command(cmd))).encode("utf-8"))
+        sha.update(("%s\t%s\n" % (rule, print_command(cmd, shown))).encode("utf-8"))
     sha.update(("final\t%s\n" % print_value(res.value)).encode("utf-8"))
     return sha.hexdigest()
 
@@ -59,3 +60,17 @@ def programs(env):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_pinned(programs, name):
     assert trace_digest(programs[name]) == PINNED[name]
+
+
+def test_print_command_reuses_component_strings(programs, monkeypatch):
+    calls = []
+    original = cli.print_component
+    monkeypatch.setattr(cli, "print_component", lambda e: calls.append(e) or original(e))
+    for name in ("golden", "queue", "dlist", "minamide"):
+        cmds = [cmd for _, cmd in M.run_term(programs[name], 10**6).trace.steps]
+        full = [print_command(cmd) for cmd in cmds]
+        n_full = len(calls)
+        shown = []
+        assert [print_command(cmd, shown) for cmd in cmds] == full
+        assert len(calls) - n_full < n_full / 4, name
+        calls.clear()

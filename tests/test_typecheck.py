@@ -208,6 +208,21 @@ def test_check_evalctx_disjointness(ck):
     assert e.value.kind == "DisjointnessViolation"
 
 
+def test_component_term_is_retyped_when_its_bindings_change(ck):
+    # one SeqL object under two open ampars whose hole ->1 has different types
+    rest = M.SeqL(S.FillUnit(S.Val(S.DestV(1))))
+    cmd = M.Command((M.OpenAmpar(frozenset({1}), S.HoleV(1)), rest), S.Val(S.UnitV()))
+    unit_amp = S.TAmpar(S.TUnit(), S.TUnit())
+    assert ck.tyenv.equal(ck.check_command(cmd, unit_amp), unit_amp)
+    assert ck.tyenv.equal(ck.check_command(cmd, unit_amp), unit_amp)
+    with pytest.raises(TypeCheckError) as e:
+        ck.check_command(cmd, S.TAmpar(parse_type("1 + 1"), S.TUnit()))
+    assert e.value.kind == "TypeMismatch"
+    # and a failure is not remembered as a result
+    with pytest.raises(TypeCheckError):
+        ck.check_command(cmd, S.TAmpar(parse_type("1 + 1"), S.TUnit()))
+
+
 def test_check_command_golden_origin(ck):
     body = S.CasePair(
         UNIT, S.FillPair(S.FillInr(S.Var("d"))), "dx", "dxs",
