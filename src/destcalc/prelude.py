@@ -36,16 +36,29 @@ class ProgramEnv:
     order: List[str] = field(default_factory=list)
     main: Optional[str] = None
     stats: CheckStats = field(default_factory=CheckStats)
+    # (name, from_prime) -> the term `runnable` built for it
+    runnables: Dict[tuple, object] = field(default_factory=dict, repr=False)
 
     def checker(self) -> Checker:
         return Checker(self.tyenv, self.stats)
 
     def runnable(self, name: str, from_prime: bool = False):
-        """The closed, machine-ready core term for a definition."""
-        core = self.defs[name].core
-        if not from_prime:
-            core = S.lower_from_prime(core)
-        return S.erase_annots(core)
+        """The closed, machine-ready core term for a definition.
+
+        It is built once per environment and shared by every caller, so it
+        must not be mutated: the machine and the checker only keep caches
+        and elaboration stamps on its nodes.  A checker keeps its typing at
+        the empty context there too, so each request re-types only what it
+        adds around the shared term.
+        """
+        key = (name, from_prime)
+        term = self.runnables.get(key)
+        if term is None:
+            core = self.defs[name].core
+            if not from_prime:
+                core = S.lower_from_prime(core)
+            term = self.runnables[key] = S.erase_annots(core)
+        return term
 
     def main_def(self) -> LoadedDef:
         if self.main is None:

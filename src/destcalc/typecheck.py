@@ -14,7 +14,9 @@ Checking stamps scrutinee and parameter types onto the visited nodes, so
 commands the machine later builds out of those nodes can be re-checked
 mid-trace (preservation) without re-running global inference.  A checker
 remembers the typing of the terms that recur across the commands of a
-trace, so re-checking a command costs what changed plus the focus.
+trace, so re-checking a command costs what changed plus the focus.  The
+typing of a closed term is kept on the term itself, so a shared library
+term is typed once per type environment, not once per request.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ class OpenFocus:
 class TypeEnv:
     def __init__(self, type_defs: Optional[Dict[str, TypeDef]] = None):
         self.defs = dict(type_defs or {})
+        self._heads = {}  # TNamed -> its `head`; a synonym cycle is never kept
 
     def unfold1(self, ty):
         """One unfolding step of a defined named type, else None."""
@@ -118,6 +121,14 @@ class TypeEnv:
 
     def head(self, ty):
         """Unfold named definitions until a structural head (or opaque name)."""
+        if not isinstance(ty, S.TNamed):
+            return ty
+        out = self._heads.get(ty)
+        if out is None:
+            out = self._heads[ty] = self._unfold_head(ty)
+        return out
+
+    def _unfold_head(self, ty):
         seen = set()
         while isinstance(ty, S.TNamed):
             if ty in seen:
@@ -455,9 +466,34 @@ class Checker:
     # -- term inference ---------------------------------------------------------
 
     def infer(self, gamma, t, exp) -> Tuple[object, Usage]:
-        ty, usage = self._infer(gamma, t, exp)
+        """Infer `t` in `gamma` against `exp` -> (type, usage).
+
+        At the empty context a success means `t` is closed and hole-free,
+        so its typing depends only on the type environment, `exp` and the
+        mode strictness.  It is kept on the node (`_typed_`) for as long as
+        the node lives: a shared library term is typed once per type
+        environment, whichever checker asks.  A hit replays the destination
+        coercions the first inference counted.  Failures are not kept.
+        """
         if self.type_log is not None:
+            ty, usage = self._infer(gamma, t, exp)
             self.type_log[id(t)] = ty
+            return ty, usage
+        if gamma or type(t) in _INTERNAL_NODES:
+            return self._infer(gamma, t, exp)
+        key = (self.tyenv, exp, self.mode_strict)
+        typed = t.__dict__.get("_typed_")
+        if typed is not None:
+            hit = typed.get(key)
+            if hit is not None:
+                self.stats.dest_coercions += hit[1]
+                return hit[0], {}
+        before = self.stats.dest_coercions
+        ty, usage = self._infer(gamma, t, exp)
+        if not usage:
+            if typed is None:
+                typed = t.__dict__["_typed_"] = {}
+            typed[key] = (ty, self.stats.dest_coercions - before)
         return ty, usage
 
     def _infer(self, gamma, t, exp) -> Tuple[object, Usage]:
@@ -1010,6 +1046,11 @@ class _Memo:
 
     term: object
     pos = None
+
+
+# built by the checker itself: never typed from a kept entry (a probe's capture
+# is a side effect, and the others are made anew for every check)
+_INTERNAL_NODES = (_Probe, _Memo, OpenFocus)
 
 
 def _wrap_components(ctx, probe):

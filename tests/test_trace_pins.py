@@ -51,14 +51,37 @@ def programs(env):
     demo = load_source(_read("demos/cons_example.ld"), base=env)
     progs["cons_example"] = demo.runnable(demo.main)
     progs["cons_example_from_prime"] = demo.runnable(demo.main, from_prime=True)
-    progs["dlist16"] = dlist_prog(env, 16)
-    progs["map8"] = app_chain(S.App(env.runnable("mapN"), env.runnable("succ")),
-                              H.encode_list([3, 1, 4, 1, 5, 9, 2, 6]))
+    progs.update(library_programs(env))
     return progs
+
+
+def library_programs(env):
+    return {
+        "dlist16": dlist_prog(env, 16),
+        "map8": app_chain(S.App(env.runnable("mapN"), env.runnable("succ")),
+                          H.encode_list([3, 1, 4, 1, 5, 9, 2, 6])),
+    }
+
+
+def _applied(term):
+    """The function at the head of an application spine."""
+    while isinstance(term, S.App):
+        term = term.fn
+    return term
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_trace_pinned(programs, name):
+    assert trace_digest(programs[name]) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", ["dlist16", "map8"])
+def test_shared_runnables_trace_the_same_again(env, programs, name):
+    # a second request off the same env reuses the runnable terms the first one ran
+    again = library_programs(env)[name]
+    assert _applied(again) is _applied(programs[name])
+    env.checker().check_command(M.Command((), again))
+    assert trace_digest(again) == PINNED[name]
     assert trace_digest(programs[name]) == PINNED[name]
 
 

@@ -265,3 +265,21 @@ def test_value_and_term_checking_agree_on_plain_values(ck):
         tv = ck.check_value({}, v, ty)
         tt = ck.check_term({}, S.Val(v), ty)
         assert ck.tyenv.equal(tv, tt)
+
+
+def test_synonym_cycle_raises_on_every_head():
+    tyenv = TypeEnv({"A": TypeDef("A", (), S.TNamed("B", ())),
+                     "B": TypeDef("B", (), S.TNamed("A", ()))})
+    for _ in range(2):
+        with pytest.raises(TypeCheckError) as e:
+            tyenv.head(S.TNamed("A", ()))
+        assert e.value.kind == "ArityOrFormError"
+        assert "cycle" in str(e.value)
+
+
+def test_head_is_kept_per_type_env(ck):
+    nat = S.TNamed("Nat", ())
+    first = ck.tyenv.head(nat)
+    assert first == parse_type("1 + Nat")
+    assert ck.tyenv.head(nat) is first
+    assert Checker(TypeEnv(DEFS)).tyenv.head(nat) is not first
