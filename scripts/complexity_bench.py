@@ -3,10 +3,13 @@
 
 Builds k singleton lists, concatenates them left-nested, and converts to
 a plain list.  Difference lists graft in place (linear total steps); the
-structural append retraverses its left argument (quadratic).
+structural append retraverses its left argument (quadratic).  For each
+doubling of k it prints the ratio of steps and the ratio of wall time
+(one run per size, so small sizes are noisy).
 """
 
 import argparse
+import time
 
 from destcalc import harness as H
 from destcalc import syntax as S
@@ -38,17 +41,23 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 32, 64])
     args = ap.parse_args()
     env = load_prelude()
-    print("%6s %12s %12s" % ("k", "dlist steps", "naive steps"))
+    print("%6s %12s %9s %12s %9s" % ("k", "dlist steps", "dlist s", "naive steps", "naive s"))
     prev = None
     for k in args.sizes:
-        d = H.count_steps(dlist_prog(env, k), 10**7)
-        n = H.count_steps(naive_prog(env, k), 10**7)
+        row = _timed_steps(dlist_prog(env, k)) + _timed_steps(naive_prog(env, k))
         ratios = ""
         if prev is not None:
-            ratios = "   ratios: dlist %.2f, naive %.2f" % (d / prev[0], n / prev[1])
-        print("%6d %12d %12d%s" % (k, d, n, ratios))
-        prev = (d, n)
+            r = [a / b for a, b in zip(row, prev)]
+            ratios = "   step ratios: dlist %.2f, naive %.2f; time ratios: dlist %.2f, naive %.2f" % (
+                r[0], r[2], r[1], r[3])
+        print("%6d %12d %9.3f %12d %9.3f%s" % ((k,) + row + (ratios,)))
+        prev = row
 
+
+def _timed_steps(term):
+    start = time.perf_counter()
+    steps = H.count_steps(term, 10**7)
+    return steps, time.perf_counter() - start
 
 if __name__ == "__main__":
     main()

@@ -5,7 +5,8 @@ in three families: focusing (F, pushes a component; never fires when the
 would-be focus is already a value), unfocusing (U, pops and reassembles
 around a value) and contraction (C, rewrites a redex).  Fresh hole names
 come from max-based formulas over the names in the context, so runs are
-fully deterministic.
+fully deterministic.  Each rule is one entry of a table, found by the
+type of the focus, or of the top component when the focus is a value.
 
 Cost model.  While it runs, the machine keeps the structure under
 construction of each open ampar as a heap of hole cells indexed by hole
@@ -18,11 +19,15 @@ minted numeral is the one the max-based formulas give.  `run` keeps the
 origin and the rule names only: the `Command` of each step is built when
 someone reads `trace.steps`, by stepping again from the origin.  Classic
 `syntax` values and `Command`s are all that leaves the machine; a closed
-ampar it built reads its `left` from its cells on first access.
+ampar it built reads its `left` from its cells on first access.  A
+substitution rebuilds the nodes on the paths to its variable only, and
+stores on each the free variables and the largest hole name that later
+steps read.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -275,52 +280,77 @@ def hnames_ctx(ctx: Tuple[FocusComp, ...]) -> set:
     return out
 
 
-def hmax_value(v) -> int:
-    cached = v.__dict__.get("_hmax")
-    if cached is not None:
-        return cached
-    if isinstance(v, (S.HoleV, S.DestV)):
-        m = v.hole
-    elif isinstance(v, S.AmparV):
-        shape = v.__dict__.get("_shape")
-        left = shape.static if shape is not None else hmax_value(v.left)
-        m = max(max(v.holes, default=0), left, hmax_value(v.right))
-    elif isinstance(v, (S.InlV, S.InrV, S.ModV)):
-        m = hmax_value(v.value)
-    elif isinstance(v, S.PairV):
-        m = max(hmax_value(v.fst), hmax_value(v.snd))
-    elif isinstance(v, S.LamV):
-        m = hmax_term(v.body)
-    else:
-        m = 0
-    v.__dict__["_hmax"] = m
-    return m
+def hmax_value(x) -> int:
+    """The largest hole name in a value or term, 0 if none; kept on each node as `_hmax`.
+
+    The walk keeps its own stack, so deep values and terms cannot exhaust
+    Python's recursion limit.
+    """
+    m = x.__dict__.get("_hmax")
+    if m is not None:
+        return m
+    stack = [x]
+    while stack:
+        node = stack[-1]
+        d = node.__dict__
+        if "_hmax" in d:
+            stack.pop()
+            continue
+        own, kids = _hmax_parts(node)
+        todo = [k for k in kids if "_hmax" not in k.__dict__]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        for k in kids:
+            km = k.__dict__["_hmax"]
+            if km > own:
+                own = km
+        d["_hmax"] = own
+    return x.__dict__["_hmax"]
 
 
-def hmax_term(t) -> int:
-    cached = t.__dict__.get("_hmax")
-    if cached is not None:
-        return cached
-    if isinstance(t, S.Val):
-        m = hmax_value(t.value)
-    else:
-        m = 0
-        for f in S.field_names(type(t)):
-            v = getattr(t, f)
-            if isinstance(v, S._TERM_TYPES):
-                m = max(m, hmax_term(v))
-    t.__dict__["_hmax"] = m
-    return m
+hmax_term = hmax_value  # one walk serves values and terms
+
+
+def _hmax_parts(x):
+    """(the largest name `x` holds itself, its value and term children)."""
+    t = type(x)
+    if t is S.HoleV or t is S.DestV:
+        return x.hole, ()
+    if t is S.AmparV:
+        own = max(x.holes, default=0)
+        shape = x.__dict__.get("_shape")
+        if shape is not None:  # its structure is in cells: do not read `left`
+            return max(own, shape.static), (x.right,)
+        return own, (x.left, x.right)
+    if t is S.InlV or t is S.InrV or t is S.ModV or t is S.Val:
+        return 0, (x.value,)
+    if t is S.PairV:
+        return 0, (x.fst, x.snd)
+    if t is S.LamV:
+        return 0, (x.body,)
+    if t is S.UnitV:
+        return 0, ()
+    get, kids = S.layout(t)
+    fields = get(x)
+    return 0, tuple(fields[i] for i, _ in kids)
+
+
+_HELD = {}  # component class -> the fields holding a term or a value
 
 
 def hmax_component(e) -> int:
+    held = _HELD.get(type(e))
+    if held is None:
+        held = _HELD[type(e)] = tuple(
+            f.name for f in dataclasses.fields(e) if f.type == "object" and not f.name.endswith("_")
+        )
     m = 0
-    for f in S.field_names(type(e)):
-        v = getattr(e, f)
-        if isinstance(v, S._TERM_TYPES):
-            m = max(m, hmax_term(v))
-        elif isinstance(v, S._VALUE_TYPES):
-            m = max(m, hmax_value(v))
+    for f in held:
+        h = hmax_value(getattr(e, f))
+        if h > m:
+            m = h
     return m
 
 
@@ -383,138 +413,86 @@ def _shift_term(t, holes, d):
     if isinstance(t, S.Val):
         nv = _shift_value(t.value, holes, d)
         return t if nv is t.value else S.Val(nv, pos=t.pos)
-    return S.map_children(t, lambda c: _shift_term(c, holes, d))
+    return S.rebuild(t, lambda c: _shift_term(c, holes, d))
+
+
+_NO_VARS = frozenset()
+_VAR_SETS = {}  # name -> frozenset({name}), one set shared by every Var of that name
 
 
 def free_vars_cached(t) -> frozenset:
-    """Memoized free term variables (nodes are immutable after build)."""
-    cached = t.__dict__.get("_fv")
-    if cached is not None:
-        return cached
-    if isinstance(t, S.Var):
-        fv = frozenset((t.name,))
-    elif isinstance(t, S.Val):
-        fv = frozenset()
-    elif isinstance(t, S.CaseSum):
-        fv = (
-            free_vars_cached(t.scrut)
-            | (free_vars_cached(t.left_body) - {t.left_var})
-            | (free_vars_cached(t.right_body) - {t.right_var})
-        )
-    elif isinstance(t, S.CasePair):
-        fv = free_vars_cached(t.scrut) | (free_vars_cached(t.body) - {t.var1, t.var2})
-    elif isinstance(t, (S.CaseBang, S.UpdWith)):
-        fv = free_vars_cached(t.scrut) | (free_vars_cached(t.body) - {t.var})
-    elif isinstance(t, S.FillFun):
-        fv = free_vars_cached(t.dest) | (free_vars_cached(t.body) - {t.var})
-    elif isinstance(t, S.Fix):
-        fv = free_vars_cached(t.body) - {t.var}
+    """Free term variables, kept on each node as `_fv` (nodes are immutable after build).
+
+    A node whose children add nothing to one another keeps a child's set
+    itself, so most nodes allocate no set of their own.
+    """
+    fv = t.__dict__.get("_fv")
+    if fv is not None:
+        return fv
+    cls = type(t)
+    if cls is S.Var:
+        fv = _VAR_SETS.get(t.name)
+        if fv is None:
+            fv = _VAR_SETS[t.name] = frozenset((t.name,))
     else:
-        fv = frozenset()
-        for f in S.field_names(type(t)):
-            v = getattr(t, f)
-            if isinstance(v, S._TERM_TYPES):
-                fv |= free_vars_cached(v)
+        fv = _NO_VARS
+        get, kids = S.layout(cls)
+        fields = get(t)
+        for i, scope in kids:
+            kid = free_vars_cached(fields[i])
+            if scope and kid:
+                bound = [fields[j] for j in scope if fields[j] in kid]
+                if bound:
+                    kid = kid.difference(bound)
+            if kid and not kid <= fv:
+                fv = fv | kid if fv else kid
     t.__dict__["_fv"] = fv
     return fv
 
 
-def subst_var(t, x: str, v):
-    """Capture-avoiding substitution of the value v for the variable x."""
-    if x not in free_vars_cached(t):
+def subst_var(t, x: str, r):
+    """Capture-avoiding substitution of r for the free variable x in t.
+
+    `r` is a closed value, put in as `Val(r)` at the variable's position,
+    or a term (`fix` unrolls by putting in itself), put in as it is.  Only
+    the nodes on the paths to x are rebuilt, each from its fields in order
+    with its elaboration stamps, and each gets its free variables and its
+    largest hole name stored, so no later walk visits it.
+    """
+    fv = free_vars_cached(t)
+    if x not in fv:
         return t
-    if isinstance(t, S.Var):
-        return S.Val(v, pos=t.pos) if t.name == x else t
-    if isinstance(t, S.Val):
-        return t  # values are closed
-    if isinstance(t, S.CaseSum):
-        scrut = subst_var(t.scrut, x, v)
-        lb = t.left_body if t.left_var == x else subst_var(t.left_body, x, v)
-        rb = t.right_body if t.right_var == x else subst_var(t.right_body, x, v)
-        node = S.CaseSum(t.mode, scrut, t.left_var, lb, t.right_var, rb, pos=t.pos)
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.CasePair):
-        scrut = subst_var(t.scrut, x, v)
-        body = t.body if x in (t.var1, t.var2) else subst_var(t.body, x, v)
-        node = S.CasePair(t.mode, scrut, t.var1, t.var2, body, pos=t.pos)
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.CaseBang):
-        scrut = subst_var(t.scrut, x, v)
-        body = t.body if t.var == x else subst_var(t.body, x, v)
-        node = S.CaseBang(t.mode, scrut, t.inner_mode, t.var, body, pos=t.pos)
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.UpdWith):
-        scrut = subst_var(t.scrut, x, v)
-        body = t.body if t.var == x else subst_var(t.body, x, v)
-        node = S.UpdWith(scrut, t.var, body, pos=t.pos)
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.FillFun):
-        dest = subst_var(t.dest, x, v)
-        body = t.body if t.var == x else subst_var(t.body, x, v)
-        node = S.FillFun(dest, t.var, t.mode, body, pos=t.pos)
-        node.param_ty_ = t.param_ty_
-        return node
-    if isinstance(t, S.Fix):
-        body = t.body if t.var == x else subst_var(t.body, x, v)
-        return S.Fix(t.var, t.ann, body, pos=t.pos)
-    return S.map_children(t, lambda c: subst_var(c, x, v))
+    if type(r) in S._VALUE_TYPES:
+        return _subst(t, fv, x, r, True, hmax_value(r), _NO_VARS)
+    return _subst(t, fv, x, r, False, hmax_value(r), free_vars_cached(r))
 
 
-def subst_fix(t, x: str, fix_term):
-    """Term-for-variable substitution, used only to unroll `fix` once."""
-    if x not in free_vars_cached(t):
-        return t
-    if isinstance(t, S.Var):
-        return fix_term if t.name == x else t
-    if isinstance(t, S.Val):
-        return t
-    if isinstance(t, S.CaseSum):
-        node = S.CaseSum(
-            t.mode, subst_fix(t.scrut, x, fix_term), t.left_var,
-            t.left_body if t.left_var == x else subst_fix(t.left_body, x, fix_term),
-            t.right_var,
-            t.right_body if t.right_var == x else subst_fix(t.right_body, x, fix_term),
-            pos=t.pos,
-        )
-        node.scrut_ty_ = t.scrut_ty_
+def _subst(t, fv, x, r, is_value, r_hmax, r_fv):
+    """`subst_var` on a node t whose free variables fv include x."""
+    cls = type(t)
+    if cls is S.Var:
+        if not is_value:
+            return r
+        node = S.Val(r, t.pos)
+        node.__dict__.update(_fv=_NO_VARS, _hmax=r_hmax)
         return node
-    if isinstance(t, S.CasePair):
-        node = S.CasePair(
-            t.mode, subst_fix(t.scrut, x, fix_term), t.var1, t.var2,
-            t.body if x in (t.var1, t.var2) else subst_fix(t.body, x, fix_term), pos=t.pos,
-        )
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.CaseBang):
-        node = S.CaseBang(
-            t.mode, subst_fix(t.scrut, x, fix_term), t.inner_mode, t.var,
-            t.body if t.var == x else subst_fix(t.body, x, fix_term), pos=t.pos,
-        )
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.UpdWith):
-        node = S.UpdWith(
-            subst_fix(t.scrut, x, fix_term), t.var,
-            t.body if t.var == x else subst_fix(t.body, x, fix_term), pos=t.pos,
-        )
-        node.scrut_ty_ = t.scrut_ty_
-        return node
-    if isinstance(t, S.FillFun):
-        node = S.FillFun(
-            subst_fix(t.dest, x, fix_term), t.var, t.mode,
-            t.body if t.var == x else subst_fix(t.body, x, fix_term), pos=t.pos,
-        )
-        node.param_ty_ = t.param_ty_
-        return node
-    if isinstance(t, S.Fix):
-        return S.Fix(
-            t.var, t.ann, t.body if t.var == x else subst_fix(t.body, x, fix_term), pos=t.pos
-        )
-    return S.map_children(t, lambda c: subst_fix(c, x, fix_term))
+    get, kids = S._LAYOUTS.get(cls) or S.layout(cls)
+    args = list(get(t))
+    for i, scope in kids:
+        kid = args[i]
+        kid_fv = kid.__dict__.get("_fv")
+        if kid_fv is None:
+            kid_fv = free_vars_cached(kid)
+        # a binder names one or two variables: the first and last of its scope
+        if x in kid_fv and not (scope and (args[scope[0]] == x or args[scope[-1]] == x)):
+            args[i] = _subst(kid, kid_fv, x, r, is_value, r_hmax, r_fv)
+    node = cls(*args)
+    h = t.__dict__.get("_hmax")
+    if h is None:
+        h = hmax_value(t)
+    fv = fv - {x}
+    node.__dict__.update(_fv=fv | r_fv if r_fv else fv, _hmax=h if h > r_hmax else r_hmax)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -769,17 +747,14 @@ class _State:
     def step(self):
         """Apply the one applicable rule; its name, or Final/Stuck."""
         t = self.focus
-        if not self.ctx and isinstance(t, S.Val):
+        if not self.ctx and type(t) is S.Val:
             return Final(t.value)
-        rules = _match(self.ctx[-1] if self.ctx else None, t)
-        if not rules:
+        rule = _rule_for(self.ctx[-1] if self.ctx else None, t)
+        if rule is None:
             from .printer import print_term
             return Stuck("no rule applies to focus %s" % print_term(t, 3))
-        if len(rules) > 1:
-            names = ", ".join(name for name, _ in rules)
-            raise AssertionError("determinism violation: %s all apply" % names)
-        name, act = rules[0]
-        act(self)
+        name, act = rule
+        act(self, t)
         return name
 
 
@@ -795,336 +770,314 @@ def _renamed(av, d: int):
     return root, {n + d: c for n, c in cells.items()}, static, cond_shift(av.right, av.holes, d)
 
 
-def _match(top, t) -> List[Tuple[str, Callable[[_State], None]]]:
-    """The rules whose left-hand side matches focus t under the top component (None at the root).
+# ---------------------------------------------------------------------------
+# The rule table.  A rule is a constant (name, act) pair; act(st, t) rewrites
+# the running state st whose focus is t.  A term focus finds its rule by its
+# type and the values in it; a value focus by the type of the top component.
 
-    Each comes with the action that rewrites a running state.
-    """
-    out: List[Tuple[str, Callable[[_State], None]]] = []
 
-    if is_val(t):
-        v = t.value
-        e = top
-        if e is None:
-            return out
-        if isinstance(e, AppFun):
-            out.append(("⊸EU₁", lambda st: st.pop(S.App(e.fn, t))))
-        elif isinstance(e, AppArg):
-            out.append(("⊸EU₂", lambda st: st.pop(S.App(t, S.Val(e.arg)))))
-        elif isinstance(e, SeqL):
-            out.append(("1EU", lambda st: st.pop(S.Seq(t, e.rest))))
-        elif isinstance(e, CaseSumF):
-            def _pop_case_sum(st):
-                node = S.CaseSum(e.mode, t, e.left_var, e.left_body, e.right_var, e.right_body)
-                node.scrut_ty_ = e.scrut_ty_
-                st.pop(node)
-            out.append(("⊕EU", _pop_case_sum))
-        elif isinstance(e, CasePairF):
-            def _pop_case_pair(st):
-                node = S.CasePair(e.mode, t, e.var1, e.var2, e.body)
-                node.scrut_ty_ = e.scrut_ty_
-                st.pop(node)
-            out.append(("⊗EU", _pop_case_pair))
-        elif isinstance(e, CaseBangF):
-            def _pop_case_bang(st):
-                node = S.CaseBang(e.mode, t, e.inner_mode, e.var, e.body)
-                node.scrut_ty_ = e.scrut_ty_
-                st.pop(node)
-            out.append(("!EU", _pop_case_bang))
-        elif isinstance(e, UpdWithF):
-            def _pop_upd(st):
-                node = S.UpdWith(t, e.var, e.body)
-                node.scrut_ty_ = e.scrut_ty_
-                st.pop(node)
-            out.append(("⋉UPDU", _pop_upd))
-        elif isinstance(e, ToF):
-            out.append(("⋉TOU", lambda st: st.pop(S.ToAmpar(t))))
-        elif isinstance(e, FromF):
-            def _pop_from(st):
-                node = S.FromAmpar(t)
-                node.inner_ty_ = e.inner_ty_
-                st.pop(node)
-            out.append(("⋉FROMU", _pop_from))
-        elif isinstance(e, FromPrimeF):
-            def _pop_fromp(st):
-                node = S.FromAmparPrime(t)
-                node.left_ty_ = e.left_ty_
-                st.pop(node)
-            out.append(("⋉FROM′U", _pop_fromp))
-        elif isinstance(e, FillUnitF):
-            out.append(("[1]EU", lambda st: st.pop(S.FillUnit(t))))
-        elif isinstance(e, FillInlF):
-            out.append(("[⊕]E₁U", lambda st: st.pop(S.FillInl(t))))
-        elif isinstance(e, FillInrF):
-            out.append(("[⊕]E₂U", lambda st: st.pop(S.FillInr(t))))
-        elif isinstance(e, FillPairF):
-            out.append(("[⊗]EU", lambda st: st.pop(S.FillPair(t))))
-        elif isinstance(e, FillBangF):
-            out.append(("[!]EU", lambda st: st.pop(S.FillBang(t, e.mode))))
-        elif isinstance(e, FillFunF):
-            def _pop_fill_fun(st):
-                node = S.FillFun(t, e.var, e.mode, e.body)
-                node.param_ty_ = e.param_ty_
-                st.pop(node)
-            out.append(("[⊸]EU", _pop_fill_fun))
-        elif isinstance(e, FillCompL):
-            out.append(("[]E_cU₁", lambda st: st.pop(S.FillComp(t, e.child))))
-        elif isinstance(e, FillCompR):
-            out.append(("[]E_cU₂", lambda st: st.pop(S.FillComp(S.Val(e.dest), t))))
-        elif isinstance(e, FillLeafL):
-            out.append(("[]E_LU₁", lambda st: st.pop(S.FillLeaf(t, e.arg))))
-        elif isinstance(e, FillLeafR):
-            out.append(("[]E_LU₂", lambda st: st.pop(S.FillLeaf(S.Val(e.dest), t))))
-        elif isinstance(e, (OpenCells, OpenAmpar)):
-            out.append(("⋉CL", lambda st: st.close(v)))
-        return out
+def _rule_for(top, t):
+    """The rule whose left-hand side matches focus t under component top (None at
+    the root), or None.  The table gives at most one, so the machine is
+    deterministic by construction."""
+    if type(t) is S.Val:
+        return None if top is None else _UNFOCUS.get(type(top))
+    match = _MATCH.get(type(t))
+    return None if match is None else match(t)
 
-    if isinstance(t, S.App):
-        if not is_val(t.arg):
-            out.append(("⊸EF₁", lambda st: st.push(AppFun(t.fn), t.arg)))
-        elif not is_val(t.fn):
-            out.append(("⊸EF₂", lambda st: st.push(AppArg(t.arg.value), t.fn)))
-        elif isinstance(t.fn.value, S.LamV):
-            lam = t.fn.value
-            out.append(("⊸EC", lambda st: st.refocus(subst_var(lam.body, lam.var, t.arg.value))))
-        return out
 
-    if isinstance(t, S.Seq):
-        if not is_val(t.first):
-            out.append(("1EF", lambda st: st.push(SeqL(t.rest), t.first)))
-        elif isinstance(t.first.value, S.UnitV):
-            out.append(("1EC", lambda st: st.refocus(t.rest)))
-        return out
+def _unfocus(name, build):
+    """The rule that pops the top component e and refocuses on build(e, t)."""
 
-    if isinstance(t, S.CaseSum):
-        if not is_val(t.scrut):
-            def _push_case_sum(st):
-                comp = CaseSumF(t.mode, t.left_var, t.left_body, t.right_var, t.right_body)
-                comp.scrut_ty_ = t.scrut_ty_
-                st.push(comp, t.scrut)
-            out.append(("⊕EF", _push_case_sum))
-        elif isinstance(t.scrut.value, S.InlV):
-            out.append(
-                ("⊕EC₁", lambda st: st.refocus(subst_var(t.left_body, t.left_var, t.scrut.value.value)))
-            )
-        elif isinstance(t.scrut.value, S.InrV):
-            out.append(
-                ("⊕EC₂", lambda st: st.refocus(subst_var(t.right_body, t.right_var, t.scrut.value.value)))
-            )
-        return out
+    def act(st, t):
+        st.pop(build(st.ctx[-1], t))
 
-    if isinstance(t, S.CasePair):
-        if not is_val(t.scrut):
-            def _push_case_pair(st):
-                comp = CasePairF(t.mode, t.var1, t.var2, t.body)
-                comp.scrut_ty_ = t.scrut_ty_
-                st.push(comp, t.scrut)
-            out.append(("⊗EF", _push_case_pair))
-        elif isinstance(t.scrut.value, S.PairV):
-            pv = t.scrut.value
-            out.append(
-                ("⊗EC", lambda st: st.refocus(subst_var(subst_var(t.body, t.var1, pv.fst), t.var2, pv.snd)))
-            )
-        return out
+    return name, act
 
-    if isinstance(t, S.CaseBang):
-        if not is_val(t.scrut):
-            def _push_case_bang(st):
-                comp = CaseBangF(t.mode, t.inner_mode, t.var, t.body)
-                comp.scrut_ty_ = t.scrut_ty_
-                st.push(comp, t.scrut)
-            out.append(("!EF", _push_case_bang))
-        elif isinstance(t.scrut.value, S.ModV) and t.scrut.value.mode == t.inner_mode:
-            out.append(("!EC", lambda st: st.refocus(subst_var(t.body, t.var, t.scrut.value.value))))
-        return out
 
-    if isinstance(t, S.UpdWith):
-        if not is_val(t.scrut):
-            def _push_upd(st):
-                comp = UpdWithF(t.var, t.body)
-                comp.scrut_ty_ = t.scrut_ty_
-                st.push(comp, t.scrut)
-            out.append(("⋉UPDF", _push_upd))
-        elif isinstance(t.scrut.value, S.AmparV):
-            av = t.scrut.value
+_CLOSE = ("⋉CL", lambda st, t: st.close(t.value))
 
-            def _open(st):
-                d = max(max(av.holes), st.ctx_max()) + 1 - min(av.holes) if av.holes else 0
-                root, cells, static, right = _renamed(av, d)
-                st.push_open(OpenCells(root, cells, static), subst_var(t.body, t.var, right))
+_UNFOCUS = {
+    AppFun: _unfocus("⊸EU₁", lambda e, t: S.App(e.fn, t)),
+    AppArg: _unfocus("⊸EU₂", lambda e, t: S.App(t, S.Val(e.arg))),
+    SeqL: _unfocus("1EU", lambda e, t: S.Seq(t, e.rest)),
+    CaseSumF: _unfocus("⊕EU", lambda e, t: S.CaseSum(
+        e.mode, t, e.left_var, e.left_body, e.right_var, e.right_body, None, e.scrut_ty_)),
+    CasePairF: _unfocus("⊗EU", lambda e, t: S.CasePair(
+        e.mode, t, e.var1, e.var2, e.body, None, e.scrut_ty_)),
+    CaseBangF: _unfocus("!EU", lambda e, t: S.CaseBang(
+        e.mode, t, e.inner_mode, e.var, e.body, None, e.scrut_ty_)),
+    UpdWithF: _unfocus("⋉UPDU", lambda e, t: S.UpdWith(t, e.var, e.body, None, e.scrut_ty_)),
+    ToF: _unfocus("⋉TOU", lambda e, t: S.ToAmpar(t)),
+    FromF: _unfocus("⋉FROMU", lambda e, t: S.FromAmpar(t, None, e.inner_ty_)),
+    FromPrimeF: _unfocus("⋉FROM′U", lambda e, t: S.FromAmparPrime(t, None, e.left_ty_)),
+    FillUnitF: _unfocus("[1]EU", lambda e, t: S.FillUnit(t)),
+    FillInlF: _unfocus("[⊕]E₁U", lambda e, t: S.FillInl(t)),
+    FillInrF: _unfocus("[⊕]E₂U", lambda e, t: S.FillInr(t)),
+    FillPairF: _unfocus("[⊗]EU", lambda e, t: S.FillPair(t)),
+    FillBangF: _unfocus("[!]EU", lambda e, t: S.FillBang(t, e.mode)),
+    FillFunF: _unfocus("[⊸]EU", lambda e, t: S.FillFun(
+        t, e.var, e.mode, e.body, None, e.param_ty_)),
+    FillCompL: _unfocus("[]E_cU₁", lambda e, t: S.FillComp(t, e.child)),
+    FillCompR: _unfocus("[]E_cU₂", lambda e, t: S.FillComp(S.Val(e.dest), t)),
+    FillLeafL: _unfocus("[]E_LU₁", lambda e, t: S.FillLeaf(t, e.arg)),
+    FillLeafR: _unfocus("[]E_LU₂", lambda e, t: S.FillLeaf(S.Val(e.dest), t)),
+    OpenCells: _CLOSE,
+    OpenAmpar: _CLOSE,
+}
 
-            out.append(("⋉OP", _open))
-        return out
 
-    if isinstance(t, S.ToAmpar):
-        if not is_val(t.inner):
-            out.append(("⋉TOF", lambda st: st.push(ToF(), t.inner)))
-        else:
-            out.append(
-                ("⋉TOC", lambda st: st.refocus(S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
-            )
-        return out
+def _on_value(get, focus, contract):
+    """Match a node on one field: the rule `focus` until the field is a value, then
+    the rule `contract` gives for that value's type (none: stuck)."""
 
-    if isinstance(t, S.FromAmpar):
-        if not is_val(t.inner):
-            def _push_from(st):
-                comp = FromF()
-                comp.inner_ty_ = t.inner_ty_
-                st.push(comp, t.inner)
-            out.append(("⋉FROMF", _push_from))
-        else:
-            v = t.inner.value
-            if (
-                isinstance(v, S.AmparV)
-                and isinstance(v.right, S.ModV)
-                and v.right.mode == ONE_INF
-            ):
-                out.append(("⋉FROMC", lambda st: st.refocus(S.Val(S.PairV(v.left, v.right)))))
-        return out
+    def match(t):
+        x = get(t)
+        if type(x) is not S.Val:
+            return focus
+        return contract.get(type(x.value))
 
-    if isinstance(t, S.FromAmparPrime):
-        if not is_val(t.inner):
-            def _push_fromp(st):
-                comp = FromPrimeF()
-                comp.left_ty_ = t.left_ty_
-                st.push(comp, t.inner)
-            out.append(("⋉FROM′F", _push_fromp))
-        else:
-            v = t.inner.value
-            if isinstance(v, S.AmparV) and isinstance(v.right, S.UnitV):
-                out.append(("⋉FROM′C", lambda st: st.refocus(S.Val(v.left))))
-        return out
+    return match
 
-    if isinstance(t, S.NewAmpar):
-        out.append(
-            ("⋉NEWC", lambda st: st.refocus(S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))))
-        )
-        return out
 
-    if isinstance(t, S.FillUnit):
-        if not is_val(t.dest):
-            out.append(("[1]EF", lambda st: st.push(FillUnitF(), t.dest)))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
-            out.append(("[1]EC", lambda st: st.write(h, S.UnitV(), S.Val(S.UnitV()))))
-        return out
+def _scrut(t):
+    return t.scrut
 
-    if isinstance(t, (S.FillInl, S.FillInr)):
-        inl = isinstance(t, S.FillInl)
-        if not is_val(t.dest):
-            comp = FillInlF() if inl else FillInrF()
-            out.append(("[⊕]E₁F" if inl else "[⊕]E₂F", lambda st: st.push(comp, t.dest)))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
 
-            def _fill_sum(st):
-                n = st.fresh_base(h) + 1
-                cell = Cell()
-                hollow = S.InlV(cell) if inl else S.InrV(cell)
-                st.write(h, hollow, S.Val(S.DestV(n)), binds=((n, cell),))
+def _dest(t):
+    return t.dest
 
-            out.append(("[⊕]E₁C" if inl else "[⊕]E₂C", _fill_sum))
-        return out
 
-    if isinstance(t, S.FillPair):
-        if not is_val(t.dest):
-            out.append(("[⊗]EF", lambda st: st.push(FillPairF(), t.dest)))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
+def _substituted(st, body, var, v):
+    st.refocus(subst_var(body, var, v))
 
-            def _fill_pair(st):
-                base = st.fresh_base(h)
-                n1, n2 = base + 1, base + 2
-                c1, c2 = Cell(), Cell()
-                focus = S.Val(S.PairV(S.DestV(n1), S.DestV(n2)))
-                st.write(h, S.PairV(c1, c2), focus, binds=((n1, c1), (n2, c2)))
 
-            out.append(("[⊗]EC", _fill_pair))
-        return out
+def _open(st, t):
+    av = t.scrut.value
+    d = max(max(av.holes), st.ctx_max()) + 1 - min(av.holes) if av.holes else 0
+    root, cells, static, right = _renamed(av, d)
+    st.push_open(OpenCells(root, cells, static), subst_var(t.body, t.var, right))
 
-    if isinstance(t, S.FillBang):
-        if not is_val(t.dest):
-            out.append(("[!]EF", lambda st: st.push(FillBangF(t.mode), t.dest)))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
 
-            def _fill_bang(st):
-                n = st.fresh_base(h) + 1
-                cell = Cell()
-                st.write(h, S.ModV(t.mode, cell), S.Val(S.DestV(n)), binds=((n, cell),))
+def _fill_sum(st, t):
+    h = t.dest.value.hole
+    n = st.fresh_base(h) + 1
+    cell = Cell()
+    hollow = S.InlV(cell) if type(t) is S.FillInl else S.InrV(cell)
+    st.write(h, hollow, S.Val(S.DestV(n)), binds=((n, cell),))
 
-            out.append(("[!]EC", _fill_bang))
-        return out
 
-    if isinstance(t, S.FillFun):
-        if not is_val(t.dest):
-            def _push_fill_fun(st):
-                comp = FillFunF(t.var, t.mode, t.body)
-                comp.param_ty_ = t.param_ty_
-                st.push(comp, t.dest)
-            out.append(("[⊸]EF", _push_fill_fun))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
+def _fill_pair(st, t):
+    h = t.dest.value.hole
+    base = st.fresh_base(h)
+    n1, n2 = base + 1, base + 2
+    c1, c2 = Cell(), Cell()
+    focus = S.Val(S.PairV(S.DestV(n1), S.DestV(n2)))
+    st.write(h, S.PairV(c1, c2), focus, binds=((n1, c1), (n2, c2)))
 
-            def _fill_fun(st):
-                free = free_vars_cached(t.body) - {t.var}
-                if free:
-                    raise OpenLambda(free)
-                lam = S.LamV(t.var, t.mode, t.body)
-                lam.param_ty_ = t.param_ty_
-                st.write(h, lam, S.Val(S.UnitV()), hmax_value(lam))
 
-            out.append(("[⊸]EC", _fill_fun))
-        return out
+def _fill_bang(st, t):
+    h = t.dest.value.hole
+    n = st.fresh_base(h) + 1
+    cell = Cell()
+    st.write(h, S.ModV(t.mode, cell), S.Val(S.DestV(n)), binds=((n, cell),))
 
-    if isinstance(t, S.FillComp):
-        if not is_val(t.dest):
-            out.append(("[]E_cF₁", lambda st: st.push(FillCompL(t.child), t.dest)))
-        elif not is_val(t.child):
-            out.append(("[]E_cF₂", lambda st: st.push(FillCompR(t.dest.value), t.child)))
-        elif isinstance(t.dest.value, S.DestV) and isinstance(t.child.value, S.AmparV):
-            h = t.dest.value.hole
-            av = t.child.value
 
-            def _compose(st):
-                d = max(max(av.holes), st.ctx_max(), h) + 1 - min(av.holes) if av.holes else 0
-                root, cells, static, right = _renamed(av, d)
-                st.write(h, root, S.Val(right), static, cells.items())
+def _fill_fun(st, t):
+    free = free_vars_cached(t.body) - {t.var}
+    if free:
+        raise OpenLambda(free)
+    lam = S.LamV(t.var, t.mode, t.body, t.param_ty_)
+    st.write(t.dest.value.hole, lam, S.Val(S.UnitV()), hmax_value(lam))
 
-            out.append(("[]E_cC", _compose))
-        return out
 
-    if isinstance(t, S.FillLeaf):
-        if not is_val(t.dest):
-            out.append(("[]E_LF₁", lambda st: st.push(FillLeafL(t.arg), t.dest)))
-        elif not is_val(t.arg):
-            out.append(("[]E_LF₂", lambda st: st.push(FillLeafR(t.dest.value), t.arg)))
-        elif isinstance(t.dest.value, S.DestV):
-            h = t.dest.value.hole
-            v = t.arg.value
-            out.append(("[]E_LC", lambda st: st.write(h, v, S.Val(S.UnitV()), hmax_value(v))))
-        return out
+def _compose(st, t):
+    h, av = t.dest.value.hole, t.child.value
+    d = max(max(av.holes), st.ctx_max(), h) + 1 - min(av.holes) if av.holes else 0
+    root, cells, static, right = _renamed(av, d)
+    st.write(h, root, S.Val(right), static, cells.items())
 
-    if isinstance(t, S.Fix):
-        out.append(("fixC", lambda st: st.refocus(subst_fix(t.body, t.var, t))))
-        return out
 
-    return out
+def _fill_leaf(st, t):
+    v = t.arg.value
+    st.write(t.dest.value.hole, v, S.Val(S.UnitV()), hmax_value(v))
+
+
+def _match_app(t):
+    if type(t.arg) is not S.Val:
+        return _APP_F1
+    if type(t.fn) is not S.Val:
+        return _APP_F2
+    return _APP_C if type(t.fn.value) is S.LamV else None
+
+
+_APP_F1 = ("⊸EF₁", lambda st, t: st.push(AppFun(t.fn), t.arg))
+_APP_F2 = ("⊸EF₂", lambda st, t: st.push(AppArg(t.arg.value), t.fn))
+_APP_C = ("⊸EC", lambda st, t: _substituted(st, t.fn.value.body, t.fn.value.var, t.arg.value))
+
+
+def _match_case_bang(t):
+    if type(t.scrut) is not S.Val:
+        return _BANG_F
+    v = t.scrut.value
+    return _BANG_C if type(v) is S.ModV and v.mode == t.inner_mode else None
+
+
+_BANG_F = ("!EF", lambda st, t: st.push(
+    CaseBangF(t.mode, t.inner_mode, t.var, t.body, t.scrut_ty_), t.scrut))
+_BANG_C = ("!EC", lambda st, t: _substituted(st, t.body, t.var, t.scrut.value.value))
+
+
+def _match_from(t):
+    if type(t.inner) is not S.Val:
+        return _FROM_F
+    v = t.inner.value
+    if type(v) is S.AmparV and type(v.right) is S.ModV and v.right.mode == ONE_INF:
+        return _FROM_C
+    return None
+
+
+_FROM_F = ("⋉FROMF", lambda st, t: st.push(FromF(t.inner_ty_), t.inner))
+_FROM_C = ("⋉FROMC", lambda st, t: st.refocus(
+    S.Val(S.PairV(t.inner.value.left, t.inner.value.right))))
+
+
+def _match_from_prime(t):
+    if type(t.inner) is not S.Val:
+        return _FROMP_F
+    v = t.inner.value
+    return _FROMP_C if type(v) is S.AmparV and type(v.right) is S.UnitV else None
+
+
+_FROMP_F = ("⋉FROM′F", lambda st, t: st.push(FromPrimeF(t.left_ty_), t.inner))
+_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(t.inner.value.left)))
+
+
+def _match_fill_comp(t):
+    if type(t.dest) is not S.Val:
+        return _COMP_F1
+    if type(t.child) is not S.Val:
+        return _COMP_F2
+    if type(t.dest.value) is S.DestV and type(t.child.value) is S.AmparV:
+        return _COMP_C
+    return None
+
+
+_COMP_F1 = ("[]E_cF₁", lambda st, t: st.push(FillCompL(t.child), t.dest))
+_COMP_F2 = ("[]E_cF₂", lambda st, t: st.push(FillCompR(t.dest.value), t.child))
+_COMP_C = ("[]E_cC", _compose)
+
+
+def _match_fill_leaf(t):
+    if type(t.dest) is not S.Val:
+        return _LEAF_F1
+    if type(t.arg) is not S.Val:
+        return _LEAF_F2
+    return _LEAF_C if type(t.dest.value) is S.DestV else None
+
+
+_LEAF_F1 = ("[]E_LF₁", lambda st, t: st.push(FillLeafL(t.arg), t.dest))
+_LEAF_F2 = ("[]E_LF₂", lambda st, t: st.push(FillLeafR(t.dest.value), t.arg))
+_LEAF_C = ("[]E_LC", _fill_leaf)
+
+
+_NEW = ("⋉NEWC", lambda st, t: st.refocus(
+    S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))))
+_FIX = ("fixC", lambda st, t: st.refocus(subst_var(t.body, t.var, t)))
+
+_MATCH = {
+    S.App: _match_app,
+    S.Seq: _on_value(
+        lambda t: t.first,
+        ("1EF", lambda st, t: st.push(SeqL(t.rest), t.first)),
+        {S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest))},
+    ),
+    S.CaseSum: _on_value(
+        _scrut,
+        ("⊕EF", lambda st, t: st.push(CaseSumF(
+            t.mode, t.left_var, t.left_body, t.right_var, t.right_body, t.scrut_ty_), t.scrut)),
+        {
+            S.InlV: ("⊕EC₁", lambda st, t: _substituted(
+                st, t.left_body, t.left_var, t.scrut.value.value)),
+            S.InrV: ("⊕EC₂", lambda st, t: _substituted(
+                st, t.right_body, t.right_var, t.scrut.value.value)),
+        },
+    ),
+    S.CasePair: _on_value(
+        _scrut,
+        ("⊗EF", lambda st, t: st.push(
+            CasePairF(t.mode, t.var1, t.var2, t.body, t.scrut_ty_), t.scrut)),
+        {S.PairV: ("⊗EC", lambda st, t: _substituted(
+            st, subst_var(t.body, t.var1, t.scrut.value.fst), t.var2, t.scrut.value.snd))},
+    ),
+    S.CaseBang: _match_case_bang,
+    S.UpdWith: _on_value(
+        _scrut,
+        ("⋉UPDF", lambda st, t: st.push(UpdWithF(t.var, t.body, t.scrut_ty_), t.scrut)),
+        {S.AmparV: ("⋉OP", _open)},
+    ),
+    S.ToAmpar: lambda t: _TO_F if type(t.inner) is not S.Val else _TO_C,
+    S.FromAmpar: _match_from,
+    S.FromAmparPrime: _match_from_prime,
+    S.NewAmpar: lambda t: _NEW,
+    S.FillUnit: _on_value(
+        _dest,
+        ("[1]EF", lambda st, t: st.push(FillUnitF(), t.dest)),
+        {S.DestV: ("[1]EC", lambda st, t: st.write(
+            t.dest.value.hole, S.UnitV(), S.Val(S.UnitV())))},
+    ),
+    S.FillInl: _on_value(
+        _dest,
+        ("[⊕]E₁F", lambda st, t: st.push(FillInlF(), t.dest)),
+        {S.DestV: ("[⊕]E₁C", _fill_sum)},
+    ),
+    S.FillInr: _on_value(
+        _dest,
+        ("[⊕]E₂F", lambda st, t: st.push(FillInrF(), t.dest)),
+        {S.DestV: ("[⊕]E₂C", _fill_sum)},
+    ),
+    S.FillPair: _on_value(
+        _dest,
+        ("[⊗]EF", lambda st, t: st.push(FillPairF(), t.dest)),
+        {S.DestV: ("[⊗]EC", _fill_pair)},
+    ),
+    S.FillBang: _on_value(
+        _dest,
+        ("[!]EF", lambda st, t: st.push(FillBangF(t.mode), t.dest)),
+        {S.DestV: ("[!]EC", _fill_bang)},
+    ),
+    S.FillFun: _on_value(
+        _dest,
+        ("[⊸]EF", lambda st, t: st.push(
+            FillFunF(t.var, t.mode, t.body, t.param_ty_), t.dest)),
+        {S.DestV: ("[⊸]EC", _fill_fun)},
+    ),
+    S.FillComp: _match_fill_comp,
+    S.FillLeaf: _match_fill_leaf,
+    S.Fix: lambda t: _FIX,
+}
+
+_TO_F = ("⋉TOF", lambda st, t: st.push(ToF(), t.inner))
+_TO_C = ("⋉TOC", lambda st, t: st.refocus(
+    S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
 
 
 def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:
-    """All rules whose left-hand side matches the command, each with a thunk for its result.
+    """The rules whose left-hand side matches the command, each with a thunk for its result.
 
-    The semantics is deterministic: on every reachable command this list
-    has at most one entry.  The harness re-scans it at every step.
+    The run and this scan read the same rule table, which holds at most
+    one rule per command; the final command has none.
     """
-    top = cmd.ctx[-1] if cmd.ctx else None
-    return [(name, functools.partial(_apply, cmd, act)) for name, act in _match(top, cmd.focus)]
+    rule = _rule_for(cmd.ctx[-1] if cmd.ctx else None, cmd.focus)
+    if rule is None:
+        return []
+    name, act = rule
+    return [(name, functools.partial(_apply, cmd, act))]
 
 
 def _apply(cmd: Command, act) -> Command:
     st = _State.load(cmd)
-    act(st)
+    act(st, cmd.focus)
     return st.snapshot()
 
 

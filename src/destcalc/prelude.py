@@ -66,50 +66,16 @@ class ProgramEnv:
         return self.defs[self.main]
 
 
-_BINDERS = {
-    S.LamS: ("var",),
-    S.FillFun: ("var",),
-    S.CaseSum: ("left_var", "right_var"),
-    S.CasePair: ("var1", "var2"),
-    S.CaseBang: ("var",),
-    S.UpdWith: ("var",),
-    S.Fix: ("var",),
-}
-
-
-def _inline(t, defs: Dict[str, LoadedDef], bound: frozenset):
-    if isinstance(t, S.Var):
-        if t.name in bound or t.name not in defs:
-            return t
-        d = defs[t.name]
+def _inline(t, defs: Dict[str, LoadedDef]):
+    def use(v):
+        d = defs.get(v.name)
+        if d is None:
+            return v
         if d.ann is not None:
-            return S.Annot(d.sugar, d.ann, pos=t.pos)
+            return S.Annot(d.sugar, d.ann, pos=v.pos)
         return d.sugar
-    cls = type(t)
-    binders = _BINDERS.get(cls, ())
-    if cls is S.CaseSum:
-        node = S.CaseSum(
-            t.mode,
-            _inline(t.scrut, defs, bound),
-            t.left_var,
-            _inline(t.left_body, defs, bound | {t.left_var}),
-            t.right_var,
-            _inline(t.right_body, defs, bound | {t.right_var}),
-            pos=t.pos,
-        )
-        return node
-    if binders:
-        names = frozenset(getattr(t, f) for f in binders)
-        kw = {}
-        for f in S.all_field_names(cls):
-            v = getattr(t, f)
-            if S._is_term(v):
-                inner_bound = bound | names if f in ("body", "left_body", "right_body") else bound
-                kw[f] = _inline(v, defs, inner_bound)
-            else:
-                kw[f] = v
-        return cls(**kw)
-    return S.map_children(t, lambda c: _inline(c, defs, bound))
+
+    return S.map_free_vars(t, use)
 
 
 def load_program(
@@ -125,7 +91,7 @@ def load_program(
         env = ProgramEnv(TypeEnv(prog.type_defs), main=prog.main)
     checker = env.checker()
     for d in prog.term_defs:
-        inlined = _inline(d.body, env.defs, frozenset())
+        inlined = _inline(d.body, env.defs)
         core = S.desugar(inlined)
         ty = d.ann
         if check:
@@ -202,8 +168,7 @@ def _subst_types_in_term(t, tymap):
     from .typecheck import _subst_type
 
     def go(node):
-        node = S.map_children(node, go)
-        kw = None
+        node = S.rebuild(node, go)
         if isinstance(node, S.NewAmpar) and node.ann is not None:
             node = S.NewAmpar(_subst_type(node.ann, tymap), pos=node.pos)
         elif isinstance(node, S.Fix):
@@ -215,34 +180,11 @@ def _subst_types_in_term(t, tymap):
     return go(t)
 
 
-def _rename_refs(t, rename, bound):
-    if isinstance(t, S.Var):
-        if t.name in rename and t.name not in bound:
-            return S.Var(rename[t.name], pos=t.pos)
-        return t
-    if isinstance(t, S.CaseSum):
-        return S.CaseSum(
-            t.mode,
-            _rename_refs(t.scrut, rename, bound),
-            t.left_var,
-            _rename_refs(t.left_body, rename, bound | {t.left_var}),
-            t.right_var,
-            _rename_refs(t.right_body, rename, bound | {t.right_var}),
-            pos=t.pos,
-        )
-    binders = _BINDERS.get(type(t))
-    if binders:
-        names = frozenset(getattr(t, f) for f in binders)
-        kw = {}
-        for f in S.all_field_names(type(t)):
-            v = getattr(t, f)
-            if S._is_term(v):
-                inner = bound | names if f in ("body", "left_body", "right_body") else bound
-                kw[f] = _rename_refs(v, rename, inner)
-            else:
-                kw[f] = v
-        return type(t)(**kw)
-    return S.map_children(t, lambda c: _rename_refs(c, rename, bound))
+def _rename_refs(t, rename):
+    def use(v):
+        return S.Var(rename[v.name], pos=v.pos) if v.name in rename else v
+
+    return S.map_free_vars(t, use)
 
 
 def instantiate(progs: List[Program], ty_args: Dict[str, str], suffix: str) -> Program:
@@ -260,7 +202,7 @@ def instantiate(progs: List[Program], ty_args: Dict[str, str], suffix: str) -> P
     for p in progs:
         for d in p.term_defs:
             ann = _subst_type(d.ann, tymap) if d.ann is not None else None
-            body = _subst_types_in_term(_rename_refs(d.body, rename, frozenset()), tymap)
+            body = _subst_types_in_term(_rename_refs(d.body, rename), tymap)
             out.term_defs.append(TermDef(rename[d.name], ann, body, d.pos))
     return out
 

@@ -9,6 +9,8 @@ types) that later phases read; both are ignored by equality.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -408,33 +410,11 @@ def field_names(cls):
     """Data-field names of a node class, caches and positions excluded."""
     names = _FIELD_CACHE.get(cls)
     if names is None:
-        import dataclasses
-
         names = tuple(
             f.name for f in dataclasses.fields(cls) if f.name != "pos" and not f.name.endswith("_")
         )
         _FIELD_CACHE[cls] = names
     return names
-
-
-def all_field_names(cls):
-    key = (cls, "all")
-    names = _FIELD_CACHE.get(key)
-    if names is None:
-        import dataclasses
-
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_CACHE[key] = names
-    return names
-
-
-def _children(t) -> list:
-    out = []
-    for f in field_names(type(t)):
-        v = getattr(t, f)
-        if _is_term(v):
-            out.append(v)
-    return out
 
 
 _TERM_TYPES = (
@@ -444,8 +424,89 @@ _TERM_TYPES = (
 ) + SUGAR_NODES
 
 
+# ---------------------------------------------------------------------------
+# Node layout and binder scoping: the one table every term walk reads
+
+# binding node -> {term field: the fields naming the variables bound over it}
+BINDERS = {
+    CaseSum: {"left_body": ("left_var",), "right_body": ("right_var",)},
+    CasePair: {"body": ("var1", "var2")},
+    CaseBang: {"body": ("var",)},
+    UpdWith: {"body": ("var",)},
+    FillFun: {"body": ("var",)},
+    Fix: {"body": ("var",)},
+    LamS: {"body": ("var",)},
+}
+
+_LAYOUTS = {}
+
+
+def layout(cls):
+    """How to take a term node of class `cls` apart and build it again: (get, kids).
+
+    `get(t)` is the tuple of every constructor field of `t` in order, `pos`
+    and the elaboration stamps included, so `cls(*get(t))` copies `t`.
+    `kids` pairs the index in that tuple of each term field (a field
+    declared as a Term) with the indices of the fields naming the
+    variables bound over it.
+    """
+    lay = _LAYOUTS.get(cls)
+    if lay is None:
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        scopes = BINDERS.get(cls, {})
+        kids = tuple(
+            (i, tuple(names.index(b) for b in scopes.get(f.name, ())))
+            for i, f in enumerate(fields)
+            if "Term" in f.type
+        )
+        get = operator.attrgetter(*names) if len(names) > 1 else lambda t: tuple(
+            getattr(t, n) for n in names)  # attrgetter of one name gives no tuple
+        lay = _LAYOUTS[cls] = (get, kids)
+    return lay
+
+
+def rebuild(t, go):
+    """`t` with `go` applied to each term child; `t` itself when no child changes."""
+    get, kids = layout(type(t))
+    args = list(get(t))
+    changed = False
+    for i, _ in kids:
+        new = go(args[i])
+        if new is not args[i]:
+            args[i], changed = new, True
+    return type(t)(*args) if changed else t
+
+
+def map_free_vars(t, fn, bound=frozenset()):
+    """`t` with each free variable occurrence `v` replaced by `fn(v)`.
+
+    A binding node is always rebuilt, so no result shares it with `t` (the
+    checker stamps elaboration types on nodes); any other node is kept
+    when none of its children changes.
+    """
+    cls = type(t)
+    if cls is Var:
+        return t if t.name in bound else fn(t)
+    get, kids = layout(cls)
+    args = list(get(t))
+    changed = cls in BINDERS
+    for i, scope in kids:
+        inner = bound.union([args[j] for j in scope]) if scope else bound
+        new = map_free_vars(args[i], fn, inner)
+        if new is not args[i]:
+            args[i], changed = new, True
+    return cls(*args) if changed else t
+
+
 def _is_term(v) -> bool:
     return isinstance(v, _TERM_TYPES)
+
+
+def _children(t) -> list:
+    get, kids = layout(type(t))
+    fields = get(t)
+    return [fields[i] for i, _ in kids]
 
 
 def term_size(t) -> int:
@@ -563,30 +624,9 @@ def desugar(t, fresh: Optional[FreshNames] = None):
         if isinstance(t, FromPrimeS):
             return FromAmparPrime(go(t.inner), pos=t.pos)
         # core nodes: rebuild with desugared children
-        return _rebuild(t, go)
+        return rebuild(t, go)
 
     return go(t)
-
-
-def _rebuild(t, go):
-    kw = {}
-    changed = False
-    for f in all_field_names(type(t)):
-        v = getattr(t, f)
-        if _is_term(v):
-            nv = go(v)
-            changed = changed or (nv is not v)
-            kw[f] = nv
-        else:
-            kw[f] = v
-    if not changed:
-        return t
-    return type(t)(**kw)
-
-
-def map_children(t, go):
-    """Rebuild a term applying `go` to each direct term child."""
-    return _rebuild(t, go)
 
 
 def lower_from_prime(t, fresh: Optional[FreshNames] = None):
@@ -600,7 +640,7 @@ def lower_from_prime(t, fresh: Optional[FreshNames] = None):
         fresh = FreshNames("_f")
 
     def go(node):
-        node = _rebuild(node, go)
+        node = rebuild(node, go)
         if not isinstance(node, FromAmparPrime):
             return node
         un, st, ex, un2 = (fresh.fresh() for _ in range(4))
@@ -633,7 +673,7 @@ def erase_annots(t):
     """Drop checker annotations (t : T) before handing terms to the machine."""
 
     def go(node):
-        node = _rebuild(node, go)
+        node = rebuild(node, go)
         if isinstance(node, Annot):
             return node.inner
         return node

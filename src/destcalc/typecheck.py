@@ -473,7 +473,8 @@ class Checker:
         mode strictness.  It is kept on the node (`_typed_`) for as long as
         the node lives: a shared library term is typed once per type
         environment, whichever checker asks.  A hit replays the destination
-        coercions the first inference counted.  Failures are not kept.
+        coercions the first inference counted.  Failures are not kept, nor
+        are the typings of the wrapper nodes a check builds around a focus.
         """
         if self.type_log is not None:
             ty, usage = self._infer(gamma, t, exp)
@@ -481,8 +482,10 @@ class Checker:
             return ty, usage
         if gamma or type(t) in _INTERNAL_NODES:
             return self._infer(gamma, t, exp)
-        key = (self.tyenv, exp, self.mode_strict)
         typed = t.__dict__.get("_typed_")
+        if typed is _WRAPPER:
+            return self._infer(gamma, t, exp)
+        key = (self.tyenv, exp, self.mode_strict)
         if typed is not None:
             hit = typed.get(key)
             if hit is not None:
@@ -1010,10 +1013,7 @@ class Checker:
     # -- command support -----------------------------------------------------------
 
     def _command_term(self, cmd):
-        term = cmd.focus
-        for comp in reversed(cmd.ctx):
-            term = _wrap_component(comp, term)
-        return term
+        return _wrap_components(cmd.ctx, cmd.focus)
 
     def _check_open_disjointness(self, cmd):
         seen_outside = set()
@@ -1053,10 +1053,18 @@ class _Memo:
 _INTERNAL_NODES = (_Probe, _Memo, OpenFocus)
 
 
-def _wrap_components(ctx, probe):
-    term = probe
+_WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap_components` made
+
+
+def _wrap_components(ctx, term):
+    """`term` plugged into the context ctx, one wrapper node per component.
+
+    The wrappers are made anew for every check and never read again, so
+    each is marked to keep no typing.
+    """
     for comp in reversed(ctx):
         term = _wrap_component(comp, term)
+        term.__dict__["_typed_"] = _WRAPPER
     return term
 
 

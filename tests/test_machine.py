@@ -2,10 +2,13 @@
 
 import pytest
 
+from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.modes import Mode, UNIT, ONE_INF
 from destcalc.parser import parse_term
+
+from conftest import app_chain, run_ok
 
 
 def golden_term():
@@ -66,6 +69,100 @@ def test_subst_var():
     t = S.FillLeaf(S.Var("d"), S.Var("x"))
     out = M.subst_var(t, "x", S.InlV(S.UnitV()))
     assert out == S.FillLeaf(S.Var("d"), S.Val(S.InlV(S.UnitV())))
+
+
+X, U = S.Var("x"), S.UnitV()
+T = S.TNamed("T", ())
+
+
+def _stored_caches_hold(node):
+    assert node.__dict__["_fv"] == frozenset(_plain_fv(node))
+    assert node.__dict__["_hmax"] == max(M.hnames_term(node), default=0)
+
+
+def _plain_fv(t):
+    """Free variables without the binder table or any cache."""
+    if isinstance(t, S.Var):
+        return {t.name}
+    if isinstance(t, S.Val):
+        return set()
+    out = set()
+    for f in S.field_names(type(t)):
+        v = getattr(t, f)
+        if isinstance(v, S._TERM_TYPES):
+            inner = _plain_fv(v)
+            if isinstance(t, S.CaseSum) and f != "scrut":
+                inner.discard(t.left_var if f == "left_body" else t.right_var)
+            elif isinstance(t, S.CasePair) and f == "body":
+                inner -= {t.var1, t.var2}
+            elif f == "body":  # CaseBang, UpdWith, FillFun, Fix
+                inner.discard(t.var)
+            out |= inner
+    return out
+
+
+@pytest.mark.parametrize("term, kept", [
+    (S.CaseSum(UNIT, X, "x", X, "y", X), ("left_body",)),
+    (S.CaseSum(UNIT, X, "y", X, "x", X), ("right_body",)),
+    (S.CaseSum(UNIT, X, "y", X, "z", X), ()),
+    (S.CasePair(UNIT, X, "x", "y", X), ("body",)),
+    (S.CasePair(UNIT, X, "y", "x", X), ("body",)),
+    (S.CasePair(UNIT, X, "y", "z", X), ()),
+    (S.CaseBang(UNIT, X, ONE_INF, "x", X), ("body",)),
+    (S.UpdWith(X, "x", X), ("body",)),
+    (S.FillFun(X, "x", UNIT, X), ("body",)),
+    (S.FillFun(X, "y", UNIT, X), ()),
+])
+def test_subst_stops_at_each_binder(term, kept):
+    stamp = S.TSum(S.TUnit(), S.TUnit())
+    for f in ("scrut_ty_", "param_ty_"):
+        if hasattr(term, f):
+            setattr(term, f, stamp)
+    term.pos = (3, 4)
+    out = M.subst_var(term, "x", S.InlV(S.DestV(7)))
+    for f in S.field_names(type(term)):
+        old, new = getattr(term, f), getattr(out, f)
+        if not isinstance(old, S._TERM_TYPES):
+            assert new == old
+        elif f in kept:
+            assert new is old
+        else:
+            assert new == S.Val(S.InlV(S.DestV(7)))
+    assert out.pos == (3, 4)
+    assert all(getattr(out, f) is stamp for f in ("scrut_ty_", "param_ty_") if hasattr(out, f))
+    _stored_caches_hold(out)
+
+
+def test_subst_unrolls_fix():
+    fx = S.Fix("f", T, S.Seq(S.Val(S.DestV(5)), S.App(S.Var("f"), S.Var("f"))))
+    out = M.subst_var(fx.body, "f", fx)
+    assert out == S.Seq(S.Val(S.DestV(5)), S.App(fx, fx))
+    assert out.rest.fn is fx and out.rest.arg is fx
+    _stored_caches_hold(out)
+    _stored_caches_hold(out.rest)
+    inner = S.Fix("f", T, S.Var("f"))  # an inner fix of the same name shadows it
+    assert M.subst_var(inner, "f", fx) is inner
+    res = M.step(M.Command((), fx))
+    assert res.rule == "fixC" and res.command.focus == out
+
+
+def test_free_vars_share_sets():
+    fv = M.free_vars_cached
+    a, b = S.Var("x"), S.Var("x")
+    assert fv(a) is fv(b)
+    t = S.App(a, S.Val(S.UnitV()))
+    assert fv(t) is fv(a)  # a union that adds nothing keeps the child's set
+    body = S.Seq(S.Var("y"), S.Var("y"))
+    assert fv(S.UpdWith(S.Var("y"), "z", body)) is fv(S.Var("y"))  # nor does a binder
+    assert fv(S.Val(S.UnitV())) is fv(S.NewAmpar(None)) is fv(S.Fix("y", T, body))
+
+
+def test_map_over_500_elements(env):
+    # the machine's value walks keep their own stack: no RecursionError on long lists
+    xs = [i % 10 for i in range(500)]
+    res = run_ok(app_chain(S.App(env.runnable("mapN"), env.runnable("succ")), H.encode_list(xs)))
+    assert H.decode_list(res.value) == [x + 1 for x in xs]
+    assert M.hmax_value(res.value) == 0
 
 
 def test_shift_ops():

@@ -5,6 +5,7 @@ import pytest
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
+from destcalc import typecheck
 from destcalc.parser import parse_type
 from destcalc.prelude import EXPECTED_TYPES, load_prelude, load_source
 from destcalc.typecheck import Checker, TypeCheckError
@@ -175,6 +176,19 @@ def test_request_types_only_what_it_adds(env, monkeypatch):
     Checker(env.tyenv).check_command(M.Command((), origin([2, 7, 1])), expected)
     # the two new applications and the argument; mapN and succ are served whole
     assert [type(t) for t in visited] == [S.App, S.App, S.Val]
+
+
+def test_command_wrappers_keep_no_typing(env, monkeypatch):
+    # a check wraps the focus in one node per context component, made anew each time
+    term = app_chain(S.App(env.runnable("mapN"), env.runnable("succ")), H.encode_list([1, 2]))
+    ty = Checker(env.tyenv).check_command(M.Command((), term))
+    built, wrap = [], typecheck._wrap_component
+    monkeypatch.setattr(typecheck, "_wrap_component", lambda c, t: built.append(wrap(c, t)) or built[-1])
+    ck = Checker(env.tyenv)
+    for _, cmd in M.run_term(term).trace.steps:
+        ck.check_command(cmd, ty)
+    assert built
+    assert not [w for w in built if isinstance(w.__dict__.get("_typed_"), dict)]
 
 
 def test_failures_are_not_kept(env):
