@@ -289,6 +289,10 @@ def hmax_value(x) -> int:
     m = x.__dict__.get("_hmax")
     if m is not None:
         return m
+    m, kids = _hmax_parts(x)
+    if not kids:
+        x.__dict__["_hmax"] = m
+        return m
     stack = [x]
     while stack:
         node = stack[-1]
@@ -474,9 +478,10 @@ def _subst(t, fv, x, r, is_value, r_hmax, r_fv):
         if not is_value:
             return r
         node = S.Val(r, t.pos)
-        node.__dict__.update(_fv=_NO_VARS, _hmax=r_hmax)
+        d = node.__dict__
+        d["_fv"], d["_hmax"] = _NO_VARS, r_hmax
         return node
-    get, kids = S._LAYOUTS.get(cls) or S.layout(cls)
+    get, kids = S.layout(cls)
     args = list(get(t))
     for i, scope in kids:
         kid = args[i]
@@ -491,7 +496,9 @@ def _subst(t, fv, x, r, is_value, r_hmax, r_fv):
     if h is None:
         h = hmax_value(t)
     fv = fv - {x}
-    node.__dict__.update(_fv=fv | r_fv if r_fv else fv, _hmax=h if h > r_hmax else r_hmax)
+    d = node.__dict__
+    d["_fv"] = fv | r_fv if r_fv else fv
+    d["_hmax"] = h if h > r_hmax else r_hmax
     return node
 
 

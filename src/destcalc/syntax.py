@@ -460,8 +460,13 @@ def layout(cls):
             for i, f in enumerate(fields)
             if "Term" in f.type
         )
-        get = operator.attrgetter(*names) if len(names) > 1 else lambda t: tuple(
-            getattr(t, n) for n in names)  # attrgetter of one name gives no tuple
+        if len(names) > 1:
+            get = operator.attrgetter(*names)
+        else:  # attrgetter of a single name returns the value, not a tuple
+
+            def get(t):
+                return tuple(getattr(t, n) for n in names)
+
         lay = _LAYOUTS[cls] = (get, kids)
     return lay
 
