@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
@@ -847,12 +848,7 @@ def _on_value(get, focus, contract):
     return match
 
 
-def _scrut(t):
-    return t.scrut
-
-
-def _dest(t):
-    return t.dest
+_scrut, _dest = operator.attrgetter("scrut"), operator.attrgetter("dest")
 
 
 def _substituted(st, body, var, v):
@@ -995,7 +991,7 @@ _FIX = ("fixC", lambda st, t: st.refocus(subst_var(t.body, t.var, t)))
 _MATCH = {
     S.App: _match_app,
     S.Seq: _on_value(
-        lambda t: t.first,
+        operator.attrgetter("first"),
         ("1EF", lambda st, t: st.push(SeqL(t.rest), t.first)),
         {S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest))},
     ),

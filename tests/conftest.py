@@ -68,6 +68,49 @@ def suite_programs(env):
     }
 
 
+def plain_fv(t, memo):
+    """Free variables, recomputed without the binder table or any cache."""
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    if isinstance(t, S.Var):
+        out = {t.name}
+    else:
+        out = set()
+        for f in S.field_names(type(t)):
+            v = getattr(t, f)
+            if isinstance(v, S._TERM_TYPES):
+                out |= plain_fv(v, memo) - _bound_over(t, f)
+    memo[id(t)] = (t, frozenset(out))
+    return memo[id(t)][1]
+
+
+def _bound_over(t, f):
+    if isinstance(t, S.CaseSum):
+        return {"left_body": {t.left_var}, "right_body": {t.right_var}}.get(f, set())
+    if isinstance(t, S.CasePair):
+        return {t.var1, t.var2} if f == "body" else set()
+    if isinstance(t, (S.CaseBang, S.UpdWith, S.FillFun, S.Fix)):
+        return {t.var} if f == "body" else set()
+    return set()
+
+
+def plain_hmax(x, memo):
+    """The largest hole name, recomputed without any cache."""
+    hit = memo.get(id(x))
+    if hit is not None:
+        return hit[1]
+    out = x.hole if isinstance(x, (S.HoleV, S.DestV)) else 0
+    if isinstance(x, S.AmparV):
+        out = max(x.holes, default=0)
+    for f in S.field_names(type(x)):
+        v = getattr(x, f)
+        if isinstance(v, S._TERM_TYPES + S._VALUE_TYPES):
+            out = max(out, plain_hmax(v, memo))
+    memo[id(x)] = (x, out)
+    return out
+
+
 @pytest.fixture(scope="session")
 def suite(env):
     """The trace suite of A2/A3/A10: program name -> (checker, type, trace)."""

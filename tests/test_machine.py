@@ -8,7 +8,7 @@ from destcalc import syntax as S
 from destcalc.modes import Mode, UNIT, ONE_INF
 from destcalc.parser import parse_term
 
-from conftest import app_chain, run_ok
+from conftest import app_chain, plain_fv, plain_hmax, run_ok
 
 
 def golden_term():
@@ -76,29 +76,8 @@ T = S.TNamed("T", ())
 
 
 def _stored_caches_hold(node):
-    assert node.__dict__["_fv"] == frozenset(_plain_fv(node))
-    assert node.__dict__["_hmax"] == max(M.hnames_term(node), default=0)
-
-
-def _plain_fv(t):
-    """Free variables without the binder table or any cache."""
-    if isinstance(t, S.Var):
-        return {t.name}
-    if isinstance(t, S.Val):
-        return set()
-    out = set()
-    for f in S.field_names(type(t)):
-        v = getattr(t, f)
-        if isinstance(v, S._TERM_TYPES):
-            inner = _plain_fv(v)
-            if isinstance(t, S.CaseSum) and f != "scrut":
-                inner.discard(t.left_var if f == "left_body" else t.right_var)
-            elif isinstance(t, S.CasePair) and f == "body":
-                inner -= {t.var1, t.var2}
-            elif f == "body":  # CaseBang, UpdWith, FillFun, Fix
-                inner.discard(t.var)
-            out |= inner
-    return out
+    assert node.__dict__["_fv"] == plain_fv(node, {})
+    assert node.__dict__["_hmax"] == plain_hmax(node, {})
 
 
 @pytest.mark.parametrize("term, kept", [

@@ -17,7 +17,7 @@ from destcalc.cli import print_command
 from destcalc.prelude import _read, load_source
 from destcalc.printer import print_value
 
-from conftest import app_chain, dlist_prog, suite_programs
+from conftest import app_chain, dlist_prog, plain_fv, plain_hmax, suite_programs
 
 PINNED = {
     "golden": "f63d555da4413942889322de959244c9ee5a0605760dc0984878a22d47de8e26",
@@ -117,49 +117,6 @@ def test_applicable_rules_follow_the_run(programs, name):
     assert M.applicable_rules(cmd) == []
 
 
-def _plain_fv(t, memo):
-    """Free variables, recomputed without the binder table or any cache."""
-    hit = memo.get(id(t))
-    if hit is not None:
-        return hit[1]
-    if isinstance(t, S.Var):
-        out = {t.name}
-    else:
-        out = set()
-        for f in S.field_names(type(t)):
-            v = getattr(t, f)
-            if isinstance(v, S._TERM_TYPES):
-                out |= _plain_fv(v, memo) - _bound_over(t, f)
-    memo[id(t)] = (t, frozenset(out))
-    return memo[id(t)][1]
-
-
-def _bound_over(t, f):
-    if isinstance(t, S.CaseSum):
-        return {"left_body": {t.left_var}, "right_body": {t.right_var}}.get(f, set())
-    if isinstance(t, S.CasePair):
-        return {t.var1, t.var2} if f == "body" else set()
-    if isinstance(t, (S.CaseBang, S.UpdWith, S.FillFun, S.Fix)):
-        return {t.var} if f == "body" else set()
-    return set()
-
-
-def _plain_hmax(x, memo):
-    """The largest hole name, recomputed without any cache."""
-    hit = memo.get(id(x))
-    if hit is not None:
-        return hit[1]
-    out = x.hole if isinstance(x, (S.HoleV, S.DestV)) else 0
-    if isinstance(x, S.AmparV):
-        out = max(x.holes, default=0)
-    for f in S.field_names(type(x)):
-        v = getattr(x, f)
-        if isinstance(v, S._TERM_TYPES + S._VALUE_TYPES):
-            out = max(out, _plain_hmax(v, memo))
-    memo[id(x)] = (x, out)
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_stored_caches_match_a_recomputation(programs, name):
     # the checker's memo keys read `_fv` and `_hmax`: a wrong one would make it unsound
@@ -175,9 +132,9 @@ def test_stored_caches_match_a_recomputation(programs, name):
             todo.extend(getattr(x, f) for f in S.field_names(type(x)))
             d = x.__dict__
             if "_fv" in d:
-                assert d["_fv"] == _plain_fv(x, fv_memo), (name, x)
+                assert d["_fv"] == plain_fv(x, fv_memo), (name, x)
                 checked += 1
             if "_hmax" in d:
-                assert d["_hmax"] == _plain_hmax(x, hmax_memo), (name, x)
+                assert d["_hmax"] == plain_hmax(x, hmax_memo), (name, x)
                 checked += 1
     assert checked
