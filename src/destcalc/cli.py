@@ -28,52 +28,25 @@ EXIT_VERDICT = 5
 EXIT_INTERNAL = 70
 
 
+class _Field:
+    """A frame's field in its print format: `{f:p}` prints the term at precedence p,
+    `{f}` the field as it is (a variable name or a mode)."""
+
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
+    def __format__(self, prec):
+        return print_term(self.x, int(prec)) if prec else str(self.x)
+
+
 def print_component(e) -> str:
-    if isinstance(e, M.AppFun):
-        return "%s []" % print_term(e.fn, 2)
-    if isinstance(e, M.AppArg):
-        return "[] %s" % print_value(e.arg, 3)
-    if isinstance(e, M.SeqL):
-        return "[] ; %s" % print_term(e.rest, 1)
-    if isinstance(e, M.CaseSumF):
-        return "case [] of { Inl %s -> %s, Inr %s -> %s }" % (
-            e.left_var, print_term(e.left_body, 0), e.right_var, print_term(e.right_body, 0))
-    if isinstance(e, M.CasePairF):
-        return "case [] of (%s, %s) -> %s" % (e.var1, e.var2, print_term(e.body, 0))
-    if isinstance(e, M.CaseBangF):
-        return "case [] of Mod%s %s -> %s" % (str(e.inner_mode), e.var, print_term(e.body, 0))
-    if isinstance(e, M.UpdWithF):
-        return "upd [] with %s -> %s" % (e.var, print_term(e.body, 0))
-    if isinstance(e, M.ToF):
-        return "to* []"
-    if isinstance(e, M.FromF):
-        return "from* []"
-    if isinstance(e, M.FromPrimeF):
-        return "from'* []"
-    if isinstance(e, M.FillUnitF):
-        return "[] <| Unit"
-    if isinstance(e, M.FillInlF):
-        return "[] <| Inl"
-    if isinstance(e, M.FillInrF):
-        return "[] <| Inr"
-    if isinstance(e, M.FillPairF):
-        return "[] <| Pair"
-    if isinstance(e, M.FillBangF):
-        return "[] <| Mod%s" % str(e.mode)
-    if isinstance(e, M.FillFunF):
-        return "[] <| Fun %s -> %s" % (e.var, print_term(e.body, 0))
-    if isinstance(e, M.FillCompL):
-        return "[] <o %s" % print_term(e.child, 3)
-    if isinstance(e, M.FillCompR):
-        return "%s <o []" % print_value(e.dest, 3)
-    if isinstance(e, M.FillLeafL):
-        return "[] <! %s" % print_term(e.arg, 3)
-    if isinstance(e, M.FillLeafR):
-        return "%s <! []" % print_value(e.dest, 3)
     if isinstance(e, M.OpenAmpar):
         hs = " ".join("#%d" % h for h in sorted(e.holes))
         return "{%s}op/ %s, [] /" % (hs, print_value(e.left, 0))
-    raise TypeError(e)
+    kind = M.FRAMES[e.cls, e.slot]
+    return kind.fmt.format_map(dict(zip(kind.names, map(_Field, e.fields))))
 
 
 def print_command(cmd: M.Command, shown=None) -> str:
@@ -81,7 +54,7 @@ def print_command(cmd: M.Command, shown=None) -> str:
 
     `shown`, a list kept across the commands of one trace, holds the
     (component, string) at each context position; consecutive commands
-    share components, so a component that stays in place is printed once.
+    share frames, so a frame that stays in place is printed once.
     """
     if shown is None:
         shown = []

@@ -128,28 +128,6 @@ def _count_occ_term(t, h: int, kind, problems=None) -> int:
     return n
 
 
-def _count_occ_component(e, h: int, kind, problems=None) -> int:
-    if isinstance(e, M.OpenAmpar):
-        # its own binder scope is handled separately; names it binds are free here
-        return _count_occ(e.left, h, kind, problems) if h not in e.holes else 0
-    if isinstance(e, M.CaseSumF):
-        l = _count_occ_term(e.left_body, h, kind, problems)
-        r = _count_occ_term(e.right_body, h, kind, problems)
-        if l != r and problems is not None:
-            problems.append(
-                "case branches mention name %d unevenly (%d vs %d)" % (h, l, r)
-            )
-        return max(l, r)
-    n = 0
-    for f in S.field_names(type(e)):
-        v = getattr(e, f)
-        if isinstance(v, S._TERM_TYPES):
-            n += _count_occ_term(v, h, kind, problems)
-        elif isinstance(v, S._VALUE_TYPES):
-            n += _count_occ(v, h, kind, problems)
-    return n
-
-
 def _scan_value_balance(v, failures, where):
     if M.hmax_value(v) == 0:  # names start at 1, so there is no binder below
         return
@@ -187,29 +165,32 @@ def _scan_term_balance(t, failures, where):
             _scan_term_balance(v, failures, where)
 
 
-class _Facts:
-    """What the balance scan of a command learns from one of its components alone."""
+_NO_NAMES = S.Val(S.UnitV())  # what a frame's slot holds while it is scanned
 
-    __slots__ = ("comp", "names", "own", "holes", "counts")
+
+class _Facts:
+    """What the balance scan of a command learns from one of its components alone.
+
+    A frame is scanned as its node with a name-free term in the slot.
+    """
+
+    __slots__ = ("comp", "node", "names", "own", "holes", "counts")
 
     def __init__(self, e):
         self.comp = e
-        self.names = M.hnames_component(e)
+        self.names = M.hnames(e)
         self.own: List[Tuple[int, str]] = []  # failures of binders inside the component
         self.holes = []  # an open ampar's (name, hole count, problems found counting)
         self.counts = {}  # (name, kind) -> (occurrences in the component, problems found)
         if isinstance(e, M.OpenAmpar):
+            self.node = None
             for h in e.holes:
                 probs: List[str] = []
                 self.holes.append((h, _count_occ(e.left, h, S.HoleV, probs), probs))
             _scan_value_balance(e.left, self.own, "open ampar structure")
         else:
-            for f in S.field_names(type(e)):
-                v = getattr(e, f)
-                if isinstance(v, S._TERM_TYPES):
-                    _scan_term_balance(v, self.own, "component")
-                elif isinstance(v, S._VALUE_TYPES):
-                    _scan_value_balance(v, self.own, "component")
+            self.node = M.plug(e, _NO_NAMES)
+            _scan_term_balance(self.node, self.own, "component")
 
     def count(self, h: int, kind, problems: List[str]) -> int:
         if h not in self.names:  # then there is nothing to count, and no uneven case
@@ -217,7 +198,11 @@ class _Facts:
         hit = self.counts.get((h, kind))
         if hit is None:
             probs: List[str] = []
-            hit = self.counts[h, kind] = (_count_occ_component(self.comp, h, kind, probs), probs)
+            if self.node is None:  # an open ampar; its own binder scope is handled separately
+                n = _count_occ(self.comp.left, h, kind, probs) if h not in self.comp.holes else 0
+            else:
+                n = _count_occ_term(self.node, h, kind, probs)
+            hit = self.counts[h, kind] = (n, probs)
         problems.extend(hit[1])
         return hit[0]
 

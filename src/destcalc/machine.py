@@ -1,12 +1,16 @@
 """Deterministic small-step abstract machine.
 
-A command is an evaluation-context stack plus a focused term.  Rules come
-in three families: focusing (F, pushes a component; never fires when the
-would-be focus is already a value), unfocusing (U, pops and reassembles
-around a value) and contraction (C, rewrites a redex).  Fresh hole names
-come from max-based formulas over the names in the context, so runs are
-fully deterministic.  Each rule is one entry of a table, found by the
-type of the focus, or of the top component when the focus is a value.
+A command is an evaluation context plus a focused term.  The context is a
+stack of frames, each a term node with one empty slot, and of open
+ampars.  Rules come in three families: focusing (F, pushes the focus's
+node as a frame and focuses on the slot's term; never fires when that term
+is already a value), unfocusing (U, pops a frame and plugs the value focus
+into its slot) and contraction (C, rewrites a redex).  One frame table,
+keyed on the node class and the slot, gives each frame its focusing and
+unfocusing rules and its printed form.  Fresh hole names come from max-based formulas over
+the names in the context, so runs are fully deterministic.  Each rule is
+one entry of a table, found by the type of the focus, or by the top frame
+when the focus is a value.
 
 Cost model.  While it runs, the machine keeps the structure under
 construction of each open ampar as a heap of hole cells indexed by hole
@@ -27,141 +31,59 @@ steps read.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Tuple
 
-from .modes import Mode, ONE_INF
+from .modes import ONE_INF
 from . import syntax as S
 
 
 # ---------------------------------------------------------------------------
-# Focusing components
+# Frames: the components of an evaluation context
 
 
-def _meta(**kw):
-    return field(default=None, compare=False, repr=False, **kw)
+class Frame:
+    """A term node with one empty slot: one component of an evaluation context.
+
+    `fields` are the node's constructor fields in `syntax.layout` order,
+    stamps included, with None at index `slot`, the field the focus came
+    from, so a frame keeps nothing of its focus alive.  A frame is made
+    once, by the focusing rule that pushes it, and shared by every later
+    command.
+    """
+
+    __slots__ = ("cls", "fields", "slot")
+
+    def __init__(self, cls, fields: tuple, slot: int):
+        self.cls, self.fields, self.slot = cls, fields, slot
+
+    def kids(self) -> list:
+        """The node's term children other than the slot."""
+        return [self.fields[i] for i in FRAMES[self.cls, self.slot].others]
+
+    def __eq__(self, other):  # as the nodes compare: positions and stamps aside
+        if type(other) is not Frame:
+            return NotImplemented
+        return self.slot == other.slot and plug(self, None) == plug(other, None)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "Frame(%r, slot=%d)" % (plug(self, None), self.slot)
 
 
-@dataclass(eq=True)
-class AppFun:
-    fn: object  # pending function term; focus is the argument
-
-
-@dataclass(eq=True)
-class AppArg:
-    arg: object  # evaluated argument value; focus is the function
-
-
-@dataclass(eq=True)
-class SeqL:
-    rest: object
-
-
-@dataclass(eq=True)
-class CaseSumF:
-    mode: Mode
-    left_var: str
-    left_body: object
-    right_var: str
-    right_body: object
-    scrut_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class CasePairF:
-    mode: Mode
-    var1: str
-    var2: str
-    body: object
-    scrut_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class CaseBangF:
-    mode: Mode
-    inner_mode: Mode
-    var: str
-    body: object
-    scrut_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class UpdWithF:
-    var: str
-    body: object
-    scrut_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class ToF:
-    pass
-
-
-@dataclass(eq=True)
-class FromF:
-    inner_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class FromPrimeF:
-    left_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class FillUnitF:
-    pass
-
-
-@dataclass(eq=True)
-class FillInlF:
-    pass
-
-
-@dataclass(eq=True)
-class FillInrF:
-    pass
-
-
-@dataclass(eq=True)
-class FillPairF:
-    pass
-
-
-@dataclass(eq=True)
-class FillBangF:
-    mode: Mode = None
-
-
-@dataclass(eq=True)
-class FillFunF:
-    var: str
-    mode: Mode
-    body: object
-    param_ty_: object = _meta()
-
-
-@dataclass(eq=True)
-class FillCompL:
-    child: object  # pending child term; focus is the destination
-
-
-@dataclass(eq=True)
-class FillCompR:
-    dest: object  # destination value; focus is the child ampar
-
-
-@dataclass(eq=True)
-class FillLeafL:
-    arg: object
-
-
-@dataclass(eq=True)
-class FillLeafR:
-    dest: object
+def plug(frame: Frame, t, child=None):
+    """The node `frame` stands for, with t in its slot.  `child`, when given,
+    is applied to each of the node's other term children."""
+    fields = list(frame.fields)
+    fields[frame.slot] = t
+    if child is not None:
+        for i in FRAMES[frame.cls, frame.slot].others:
+            fields[i] = child(fields[i])
+    return frame.cls(*fields)
 
 
 @dataclass(eq=True)
@@ -170,12 +92,9 @@ class OpenAmpar:
     left: object  # the structure under construction (a Value with holes)
 
 
-FocusComp = object
-
-
 @dataclass(eq=True)
 class Command:
-    ctx: Tuple[FocusComp, ...]
+    ctx: Tuple[object, ...]  # Frames and OpenAmpars, outermost first
     focus: object
 
 
@@ -221,9 +140,23 @@ class OpenLambda(MachineError):
 # Hole-name bookkeeping
 
 
-def hnames_value(v) -> set:
+def hnames(x) -> set:
+    """Hole names occurring (free or bound) in a value, term, frame, context or command."""
+    if isinstance(x, Command):
+        return hnames(x.ctx) | hnames(x.focus)
+    if isinstance(x, tuple):
+        return set().union(*map(hnames, x))
     out = set()
-    _hn_value(v, out)
+    if type(x) is Frame:
+        for k in x.kids():
+            _hn_term(k, out)
+    elif type(x) is OpenAmpar:
+        out |= x.holes
+        _hn_value(x.left, out)
+    elif isinstance(x, S._VALUE_TYPES):
+        _hn_value(x, out)
+    else:
+        _hn_term(x, out)
     return out
 
 
@@ -243,12 +176,6 @@ def _hn_value(v, out: set):
         _hn_term(v.body, out)
 
 
-def hnames_term(t) -> set:
-    out = set()
-    _hn_term(t, out)
-    return out
-
-
 def _hn_term(t, out: set):
     if isinstance(t, S.Val):
         _hn_value(t.value, out)
@@ -257,28 +184,6 @@ def _hn_term(t, out: set):
         v = getattr(t, f)
         if isinstance(v, S._TERM_TYPES):
             _hn_term(v, out)
-
-
-def hnames_component(e) -> set:
-    out = set()
-    if isinstance(e, OpenAmpar):
-        out |= e.holes
-        _hn_value(e.left, out)
-        return out
-    for f in S.field_names(type(e)):
-        v = getattr(e, f)
-        if isinstance(v, S._TERM_TYPES):
-            _hn_term(v, out)
-        elif isinstance(v, S._VALUE_TYPES):
-            _hn_value(v, out)
-    return out
-
-
-def hnames_ctx(ctx: Tuple[FocusComp, ...]) -> set:
-    out = set()
-    for e in ctx:
-        out |= hnames_component(e)
-    return out
 
 
 def hmax_value(x) -> int:
@@ -340,36 +245,6 @@ def _hmax_parts(x):
     get, kids = S.layout(t)
     fields = get(x)
     return 0, tuple(fields[i] for i, _ in kids)
-
-
-_HELD = {}  # component class -> the fields holding a term or a value
-
-
-def hmax_component(e) -> int:
-    held = _HELD.get(type(e))
-    if held is None:
-        held = _HELD[type(e)] = tuple(
-            f.name for f in dataclasses.fields(e) if f.type == "object" and not f.name.endswith("_")
-        )
-    m = 0
-    for f in held:
-        h = hmax_value(getattr(e, f))
-        if h > m:
-            m = h
-    return m
-
-
-def hnames(x) -> set:
-    """Hole names occurring (free or bound) in a value, term, context or command."""
-    if isinstance(x, Command):
-        return hnames_ctx(x.ctx) | hnames_term(x.focus)
-    if isinstance(x, tuple):
-        return hnames_ctx(x)
-    if isinstance(x, S._VALUE_TYPES):
-        return hnames_value(x)
-    if isinstance(x, dict):
-        return {k for k in x.keys() if isinstance(k, int)}
-    return hnames_term(x)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +506,7 @@ class OpenCells:
     `cells` maps each unwritten hole's name to its cell.  Names are minted
     above every live name, so the last live entry of `order` is the largest
     hole; `static` is the largest other name in the structure.  Together
-    they give `hmax_component` of the classic `OpenAmpar` without a walk.
+    they give the largest hole name of the classic `OpenAmpar` without a walk.
     """
 
     __slots__ = ("root", "cells", "order", "static", "snap")
@@ -697,9 +572,14 @@ class _State:
                 st.push(e, cmd.focus)
         return st
 
-    def push(self, comp, focus):
-        self.ctx.append(comp)
-        self.maxes.append(max(self.maxes[-1], hmax_component(comp)))
+    def push(self, frame: Frame, focus):
+        m, fields = self.maxes[-1], frame.fields
+        for i in FRAMES[frame.cls, frame.slot].others:
+            h = hmax_value(fields[i])
+            if h > m:
+                m = h
+        self.ctx.append(frame)
+        self.maxes.append(m)
         self.focus = focus
 
     def push_open(self, o: OpenCells, focus):
@@ -781,7 +661,7 @@ def _renamed(av, d: int):
 # ---------------------------------------------------------------------------
 # The rule table.  A rule is a constant (name, act) pair; act(st, t) rewrites
 # the running state st whose focus is t.  A term focus finds its rule by its
-# type and the values in it; a value focus by the type of the top component.
+# type and the values in it; a value focus by the top frame.
 
 
 def _rule_for(top, t):
@@ -789,55 +669,83 @@ def _rule_for(top, t):
     the root), or None.  The table gives at most one, so the machine is
     deterministic by construction."""
     if type(t) is S.Val:
-        return None if top is None else _UNFOCUS.get(type(top))
+        if type(top) is Frame:
+            return FRAMES[top.cls, top.slot].unfocus
+        return None if top is None else _CLOSE
     match = _MATCH.get(type(t))
     return None if match is None else match(t)
 
 
-def _unfocus(name, build):
-    """The rule that pops the top component e and refocuses on build(e, t)."""
-
-    def act(st, t):
-        st.pop(build(st.ctx[-1], t))
-
-    return name, act
+def _unfocus(st, t):
+    st.pop(plug(st.ctx[-1], t))
 
 
 _CLOSE = ("⋉CL", lambda st, t: st.close(t.value))
 
-_UNFOCUS = {
-    AppFun: _unfocus("⊸EU₁", lambda e, t: S.App(e.fn, t)),
-    AppArg: _unfocus("⊸EU₂", lambda e, t: S.App(t, S.Val(e.arg))),
-    SeqL: _unfocus("1EU", lambda e, t: S.Seq(t, e.rest)),
-    CaseSumF: _unfocus("⊕EU", lambda e, t: S.CaseSum(
-        e.mode, t, e.left_var, e.left_body, e.right_var, e.right_body, None, e.scrut_ty_)),
-    CasePairF: _unfocus("⊗EU", lambda e, t: S.CasePair(
-        e.mode, t, e.var1, e.var2, e.body, None, e.scrut_ty_)),
-    CaseBangF: _unfocus("!EU", lambda e, t: S.CaseBang(
-        e.mode, t, e.inner_mode, e.var, e.body, None, e.scrut_ty_)),
-    UpdWithF: _unfocus("⋉UPDU", lambda e, t: S.UpdWith(t, e.var, e.body, None, e.scrut_ty_)),
-    ToF: _unfocus("⋉TOU", lambda e, t: S.ToAmpar(t)),
-    FromF: _unfocus("⋉FROMU", lambda e, t: S.FromAmpar(t, None, e.inner_ty_)),
-    FromPrimeF: _unfocus("⋉FROM′U", lambda e, t: S.FromAmparPrime(t, None, e.left_ty_)),
-    FillUnitF: _unfocus("[1]EU", lambda e, t: S.FillUnit(t)),
-    FillInlF: _unfocus("[⊕]E₁U", lambda e, t: S.FillInl(t)),
-    FillInrF: _unfocus("[⊕]E₂U", lambda e, t: S.FillInr(t)),
-    FillPairF: _unfocus("[⊗]EU", lambda e, t: S.FillPair(t)),
-    FillBangF: _unfocus("[!]EU", lambda e, t: S.FillBang(t, e.mode)),
-    FillFunF: _unfocus("[⊸]EU", lambda e, t: S.FillFun(
-        t, e.var, e.mode, e.body, None, e.param_ty_)),
-    FillCompL: _unfocus("[]E_cU₁", lambda e, t: S.FillComp(t, e.child)),
-    FillCompR: _unfocus("[]E_cU₂", lambda e, t: S.FillComp(S.Val(e.dest), t)),
-    FillLeafL: _unfocus("[]E_LU₁", lambda e, t: S.FillLeaf(t, e.arg)),
-    FillLeafR: _unfocus("[]E_LU₂", lambda e, t: S.FillLeaf(S.Val(e.dest), t)),
-    OpenCells: _CLOSE,
-    OpenAmpar: _CLOSE,
+
+class FrameKind(NamedTuple):
+    focus: tuple  # the rule that pushes the frame and focuses on its slot
+    unfocus: tuple  # the rule that pops the frame and plugs the value focus in
+    fmt: str  # how a trace prints the frame
+    names: tuple  # the node's field names, which `fmt` refers to
+    others: tuple  # the indices of the node's term children other than the slot
+
+
+# The frame table: (node class, focused field) -> (focusing rule, unfocusing
+# rule, print format).  In a format `[]` is the slot, `{f}` is field f as it is
+# and `{f:p}` the term in field f printed at precedence p; cases and `Fun` omit
+# their mode.
+_FRAME_TABLE = {
+    (S.App, "arg"): ("⊸EF₁", "⊸EU₁", "{fn:2} []"),
+    (S.App, "fn"): ("⊸EF₂", "⊸EU₂", "[] {arg:3}"),
+    (S.Seq, "first"): ("1EF", "1EU", "[] ; {rest:1}"),
+    (S.CaseSum, "scrut"): ("⊕EF", "⊕EU", "case [] of {{ Inl {left_var} -> {left_body:0}, "
+                                         "Inr {right_var} -> {right_body:0} }}"),
+    (S.CasePair, "scrut"): ("⊗EF", "⊗EU", "case [] of ({var1}, {var2}) -> {body:0}"),
+    (S.CaseBang, "scrut"): ("!EF", "!EU", "case [] of Mod{inner_mode} {var} -> {body:0}"),
+    (S.UpdWith, "scrut"): ("⋉UPDF", "⋉UPDU", "upd [] with {var} -> {body:0}"),
+    (S.ToAmpar, "inner"): ("⋉TOF", "⋉TOU", "to* []"),
+    (S.FromAmpar, "inner"): ("⋉FROMF", "⋉FROMU", "from* []"),
+    (S.FromAmparPrime, "inner"): ("⋉FROM′F", "⋉FROM′U", "from'* []"),
+    (S.FillUnit, "dest"): ("[1]EF", "[1]EU", "[] <| Unit"),
+    (S.FillInl, "dest"): ("[⊕]E₁F", "[⊕]E₁U", "[] <| Inl"),
+    (S.FillInr, "dest"): ("[⊕]E₂F", "[⊕]E₂U", "[] <| Inr"),
+    (S.FillPair, "dest"): ("[⊗]EF", "[⊗]EU", "[] <| Pair"),
+    (S.FillBang, "dest"): ("[!]EF", "[!]EU", "[] <| Mod{mode}"),
+    (S.FillFun, "dest"): ("[⊸]EF", "[⊸]EU", "[] <| Fun {var} -> {body:0}"),
+    (S.FillComp, "dest"): ("[]E_cF₁", "[]E_cU₁", "[] <o {child:3}"),
+    (S.FillComp, "child"): ("[]E_cF₂", "[]E_cU₂", "{dest:3} <o []"),
+    (S.FillLeaf, "dest"): ("[]E_LF₁", "[]E_LU₁", "[] <! {arg:3}"),
+    (S.FillLeaf, "arg"): ("[]E_LF₂", "[]E_LU₂", "{dest:3} <! []"),
 }
 
 
-def _on_value(get, focus, contract):
-    """Match a node on one field: the rule `focus` until the field is a value, then
-    the rule `contract` gives for that value's type (none: stuck)."""
+def _frame_kind(cls, field, focus, unfocus, fmt):
+    names, (get, kids) = S.field_order(cls), S.layout(cls)
+    slot = names.index(field)
+
+    def push(st, t):
+        fields = list(get(t))
+        focus, fields[slot] = fields[slot], None
+        st.push(Frame(cls, tuple(fields), slot), focus)
+
+    others = tuple(i for i, _ in kids if i != slot)
+    return (cls, slot), FrameKind((focus, push), (unfocus, _unfocus), fmt, names, others)
+
+
+# (node class, slot index) -> FrameKind
+FRAMES = dict(_frame_kind(cls, f, *row) for (cls, f), row in _FRAME_TABLE.items())
+
+
+def _focus(cls, field):
+    """The rule that focuses on `field` of a node of class cls."""
+    return FRAMES[cls, S.field_order(cls).index(field)].focus
+
+
+def _on_value(cls, field, contract):
+    """Match a node on one field: focus on the field until it is a value, then the
+    rule `contract` gives for that value's type (none: stuck)."""
+    get, focus = operator.attrgetter(field), _focus(cls, field)
 
     def match(t):
         x = get(t)
@@ -846,9 +754,6 @@ def _on_value(get, focus, contract):
         return contract.get(type(x.value))
 
     return match
-
-
-_scrut, _dest = operator.attrgetter("scrut"), operator.attrgetter("dest")
 
 
 def _substituted(st, body, var, v):
@@ -914,8 +819,8 @@ def _match_app(t):
     return _APP_C if type(t.fn.value) is S.LamV else None
 
 
-_APP_F1 = ("⊸EF₁", lambda st, t: st.push(AppFun(t.fn), t.arg))
-_APP_F2 = ("⊸EF₂", lambda st, t: st.push(AppArg(t.arg.value), t.fn))
+_APP_F1 = _focus(S.App, "arg")
+_APP_F2 = _focus(S.App, "fn")
 _APP_C = ("⊸EC", lambda st, t: _substituted(st, t.fn.value.body, t.fn.value.var, t.arg.value))
 
 
@@ -926,8 +831,7 @@ def _match_case_bang(t):
     return _BANG_C if type(v) is S.ModV and v.mode == t.inner_mode else None
 
 
-_BANG_F = ("!EF", lambda st, t: st.push(
-    CaseBangF(t.mode, t.inner_mode, t.var, t.body, t.scrut_ty_), t.scrut))
+_BANG_F = _focus(S.CaseBang, "scrut")
 _BANG_C = ("!EC", lambda st, t: _substituted(st, t.body, t.var, t.scrut.value.value))
 
 
@@ -940,7 +844,7 @@ def _match_from(t):
     return None
 
 
-_FROM_F = ("⋉FROMF", lambda st, t: st.push(FromF(t.inner_ty_), t.inner))
+_FROM_F = _focus(S.FromAmpar, "inner")
 _FROM_C = ("⋉FROMC", lambda st, t: st.refocus(
     S.Val(S.PairV(t.inner.value.left, t.inner.value.right))))
 
@@ -952,7 +856,7 @@ def _match_from_prime(t):
     return _FROMP_C if type(v) is S.AmparV and type(v.right) is S.UnitV else None
 
 
-_FROMP_F = ("⋉FROM′F", lambda st, t: st.push(FromPrimeF(t.left_ty_), t.inner))
+_FROMP_F = _focus(S.FromAmparPrime, "inner")
 _FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(t.inner.value.left)))
 
 
@@ -966,8 +870,8 @@ def _match_fill_comp(t):
     return None
 
 
-_COMP_F1 = ("[]E_cF₁", lambda st, t: st.push(FillCompL(t.child), t.dest))
-_COMP_F2 = ("[]E_cF₂", lambda st, t: st.push(FillCompR(t.dest.value), t.child))
+_COMP_F1 = _focus(S.FillComp, "dest")
+_COMP_F2 = _focus(S.FillComp, "child")
 _COMP_C = ("[]E_cC", _compose)
 
 
@@ -979,90 +883,50 @@ def _match_fill_leaf(t):
     return _LEAF_C if type(t.dest.value) is S.DestV else None
 
 
-_LEAF_F1 = ("[]E_LF₁", lambda st, t: st.push(FillLeafL(t.arg), t.dest))
-_LEAF_F2 = ("[]E_LF₂", lambda st, t: st.push(FillLeafR(t.dest.value), t.arg))
+_LEAF_F1 = _focus(S.FillLeaf, "dest")
+_LEAF_F2 = _focus(S.FillLeaf, "arg")
 _LEAF_C = ("[]E_LC", _fill_leaf)
 
 
 _NEW = ("⋉NEWC", lambda st, t: st.refocus(
     S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))))
 _FIX = ("fixC", lambda st, t: st.refocus(subst_var(t.body, t.var, t)))
+_TO_F = _focus(S.ToAmpar, "inner")
+_TO_C = ("⋉TOC", lambda st, t: st.refocus(
+    S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
 
 _MATCH = {
     S.App: _match_app,
-    S.Seq: _on_value(
-        operator.attrgetter("first"),
-        ("1EF", lambda st, t: st.push(SeqL(t.rest), t.first)),
-        {S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest))},
-    ),
-    S.CaseSum: _on_value(
-        _scrut,
-        ("⊕EF", lambda st, t: st.push(CaseSumF(
-            t.mode, t.left_var, t.left_body, t.right_var, t.right_body, t.scrut_ty_), t.scrut)),
-        {
-            S.InlV: ("⊕EC₁", lambda st, t: _substituted(
-                st, t.left_body, t.left_var, t.scrut.value.value)),
-            S.InrV: ("⊕EC₂", lambda st, t: _substituted(
-                st, t.right_body, t.right_var, t.scrut.value.value)),
-        },
-    ),
-    S.CasePair: _on_value(
-        _scrut,
-        ("⊗EF", lambda st, t: st.push(
-            CasePairF(t.mode, t.var1, t.var2, t.body, t.scrut_ty_), t.scrut)),
-        {S.PairV: ("⊗EC", lambda st, t: _substituted(
-            st, subst_var(t.body, t.var1, t.scrut.value.fst), t.var2, t.scrut.value.snd))},
-    ),
+    S.Seq: _on_value(S.Seq, "first", {S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest))}),
+    S.CaseSum: _on_value(S.CaseSum, "scrut", {
+        S.InlV: ("⊕EC₁", lambda st, t: _substituted(
+            st, t.left_body, t.left_var, t.scrut.value.value)),
+        S.InrV: ("⊕EC₂", lambda st, t: _substituted(
+            st, t.right_body, t.right_var, t.scrut.value.value)),
+    }),
+    S.CasePair: _on_value(S.CasePair, "scrut", {
+        S.PairV: ("⊗EC", lambda st, t: _substituted(
+            st, subst_var(t.body, t.var1, t.scrut.value.fst), t.var2, t.scrut.value.snd)),
+    }),
     S.CaseBang: _match_case_bang,
-    S.UpdWith: _on_value(
-        _scrut,
-        ("⋉UPDF", lambda st, t: st.push(UpdWithF(t.var, t.body, t.scrut_ty_), t.scrut)),
-        {S.AmparV: ("⋉OP", _open)},
-    ),
+    S.UpdWith: _on_value(S.UpdWith, "scrut", {S.AmparV: ("⋉OP", _open)}),
     S.ToAmpar: lambda t: _TO_F if type(t.inner) is not S.Val else _TO_C,
     S.FromAmpar: _match_from,
     S.FromAmparPrime: _match_from_prime,
     S.NewAmpar: lambda t: _NEW,
-    S.FillUnit: _on_value(
-        _dest,
-        ("[1]EF", lambda st, t: st.push(FillUnitF(), t.dest)),
-        {S.DestV: ("[1]EC", lambda st, t: st.write(
-            t.dest.value.hole, S.UnitV(), S.Val(S.UnitV())))},
-    ),
-    S.FillInl: _on_value(
-        _dest,
-        ("[⊕]E₁F", lambda st, t: st.push(FillInlF(), t.dest)),
-        {S.DestV: ("[⊕]E₁C", _fill_sum)},
-    ),
-    S.FillInr: _on_value(
-        _dest,
-        ("[⊕]E₂F", lambda st, t: st.push(FillInrF(), t.dest)),
-        {S.DestV: ("[⊕]E₂C", _fill_sum)},
-    ),
-    S.FillPair: _on_value(
-        _dest,
-        ("[⊗]EF", lambda st, t: st.push(FillPairF(), t.dest)),
-        {S.DestV: ("[⊗]EC", _fill_pair)},
-    ),
-    S.FillBang: _on_value(
-        _dest,
-        ("[!]EF", lambda st, t: st.push(FillBangF(t.mode), t.dest)),
-        {S.DestV: ("[!]EC", _fill_bang)},
-    ),
-    S.FillFun: _on_value(
-        _dest,
-        ("[⊸]EF", lambda st, t: st.push(
-            FillFunF(t.var, t.mode, t.body, t.param_ty_), t.dest)),
-        {S.DestV: ("[⊸]EC", _fill_fun)},
-    ),
+    S.FillUnit: _on_value(S.FillUnit, "dest", {
+        S.DestV: ("[1]EC", lambda st, t: st.write(
+            t.dest.value.hole, S.UnitV(), S.Val(S.UnitV()))),
+    }),
+    S.FillInl: _on_value(S.FillInl, "dest", {S.DestV: ("[⊕]E₁C", _fill_sum)}),
+    S.FillInr: _on_value(S.FillInr, "dest", {S.DestV: ("[⊕]E₂C", _fill_sum)}),
+    S.FillPair: _on_value(S.FillPair, "dest", {S.DestV: ("[⊗]EC", _fill_pair)}),
+    S.FillBang: _on_value(S.FillBang, "dest", {S.DestV: ("[!]EC", _fill_bang)}),
+    S.FillFun: _on_value(S.FillFun, "dest", {S.DestV: ("[⊸]EC", _fill_fun)}),
     S.FillComp: _match_fill_comp,
     S.FillLeaf: _match_fill_leaf,
     S.Fix: lambda t: _FIX,
 }
-
-_TO_F = ("⋉TOF", lambda st, t: st.push(ToF(), t.inner))
-_TO_C = ("⋉TOC", lambda st, t: st.refocus(
-    S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
 
 
 def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:

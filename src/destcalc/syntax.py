@@ -441,6 +441,11 @@ BINDERS = {
 _LAYOUTS = {}
 
 
+def field_order(cls) -> tuple:
+    """Every constructor field name of a node class, in the order `layout` reads them."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def layout(cls):
     """How to take a term node of class `cls` apart and build it again: (get, kids).
 
@@ -452,12 +457,11 @@ def layout(cls):
     """
     lay = _LAYOUTS.get(cls)
     if lay is None:
-        fields = dataclasses.fields(cls)
-        names = [f.name for f in fields]
+        names = field_order(cls)
         scopes = BINDERS.get(cls, {})
         kids = tuple(
             (i, tuple(names.index(b) for b in scopes.get(f.name, ())))
-            for i, f in enumerate(fields)
+            for i, f in enumerate(dataclasses.fields(cls))
             if "Term" in f.type
         )
         if len(names) > 1:

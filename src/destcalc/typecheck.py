@@ -800,18 +800,19 @@ class Checker:
         out = S.TAmpar(left, S.TDest(UNIT, left))
         return self.conform(out, exp, t), {}
 
-    def _infer_memo(self, gamma, x, exp):
-        """Infer a term or value that recurs from command to command, once per key.
+    def _infer_memo(self, gamma, t, exp):
+        """Infer a term that recurs from command to command, once per key.
 
-        These are what context components hold and the bodies of lambda
-        values.  The result is a function of `x`, the expected type and the
-        bindings `x` can read: those of its free variables and of the hole
-        names up to its largest one.  A hit replays the destination
-        coercions the first inference counted.  Failures are not kept.
+        These are the terms frames hold besides their slot and the bodies of
+        lambda values.  The result is a function of the term (of its value,
+        for a `Val`), the expected type and the bindings it can read: those
+        of its free variables and of the hole names up to its largest one.
+        A hit replays the destination coercions the first inference counted.
+        Failures are not kept.
         """
-        t = S.Val(x) if isinstance(x, S._VALUE_TYPES) else x
         if self.type_log is not None:
             return self.infer(gamma, t, exp)
+        x = t.value if type(t) is S.Val else t
         top = M.hmax_term(t)
         key = (
             id(x), exp,
@@ -1029,7 +1030,7 @@ class Checker:
                     )
             hit = self._hole_names.get(id(comp))
             if hit is None:
-                hit = self._hole_names[id(comp)] = (comp, M.hnames_component(comp))
+                hit = self._hole_names[id(comp)] = (comp, M.hnames(comp))
             seen_outside |= hit[1]
 
     _probe_capture = None
@@ -1042,7 +1043,7 @@ class _Probe:
 
 @dataclass
 class _Memo:
-    """Internal node: a term or value a context component holds, inferred via `_infer_memo`."""
+    """Internal node: a term a frame holds besides its slot, inferred via `_infer_memo`."""
 
     term: object
     pos = None
@@ -1057,78 +1058,19 @@ _WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap_components` made
 
 
 def _wrap_components(ctx, term):
-    """`term` plugged into the context ctx, one wrapper node per component.
+    """`term` plugged into the context ctx: each frame's node, whose other term
+    children are read through the memo, and each open ampar's `OpenFocus`.
 
-    The wrappers are made anew for every check and never read again, so
-    each is marked to keep no typing.
+    The nodes are made anew for every check and never read again, so each is
+    marked to keep no typing.
     """
     for comp in reversed(ctx):
-        term = _wrap_component(comp, term)
-        term.__dict__["_typed_"] = _WRAPPER
+        if type(comp) is M.OpenAmpar:
+            term = OpenFocus(comp.holes, comp.left, term)
+        else:
+            term = M.plug(comp, term, _Memo)
+            term.__dict__["_typed_"] = _WRAPPER
     return term
-
-
-def _wrap_component(comp, inner):
-    if isinstance(comp, M.AppFun):
-        return S.App(_Memo(comp.fn), inner)
-    if isinstance(comp, M.AppArg):
-        return S.App(inner, _Memo(comp.arg))
-    if isinstance(comp, M.SeqL):
-        return S.Seq(inner, _Memo(comp.rest))
-    if isinstance(comp, M.CaseSumF):
-        node = S.CaseSum(
-            comp.mode, inner, comp.left_var, _Memo(comp.left_body),
-            comp.right_var, _Memo(comp.right_body),
-        )
-        node.scrut_ty_ = comp.scrut_ty_
-        return node
-    if isinstance(comp, M.CasePairF):
-        node = S.CasePair(comp.mode, inner, comp.var1, comp.var2, _Memo(comp.body))
-        node.scrut_ty_ = comp.scrut_ty_
-        return node
-    if isinstance(comp, M.CaseBangF):
-        node = S.CaseBang(comp.mode, inner, comp.inner_mode, comp.var, _Memo(comp.body))
-        node.scrut_ty_ = comp.scrut_ty_
-        return node
-    if isinstance(comp, M.UpdWithF):
-        node = S.UpdWith(inner, comp.var, _Memo(comp.body))
-        node.scrut_ty_ = comp.scrut_ty_
-        return node
-    if isinstance(comp, M.ToF):
-        return S.ToAmpar(inner)
-    if isinstance(comp, M.FromF):
-        node = S.FromAmpar(inner)
-        node.inner_ty_ = comp.inner_ty_
-        return node
-    if isinstance(comp, M.FromPrimeF):
-        node = S.FromAmparPrime(inner)
-        node.left_ty_ = comp.left_ty_
-        return node
-    if isinstance(comp, M.FillUnitF):
-        return S.FillUnit(inner)
-    if isinstance(comp, M.FillInlF):
-        return S.FillInl(inner)
-    if isinstance(comp, M.FillInrF):
-        return S.FillInr(inner)
-    if isinstance(comp, M.FillPairF):
-        return S.FillPair(inner)
-    if isinstance(comp, M.FillBangF):
-        return S.FillBang(inner, comp.mode)
-    if isinstance(comp, M.FillFunF):
-        node = S.FillFun(inner, comp.var, comp.mode, _Memo(comp.body))
-        node.param_ty_ = comp.param_ty_
-        return node
-    if isinstance(comp, M.FillCompL):
-        return S.FillComp(inner, _Memo(comp.child))
-    if isinstance(comp, M.FillCompR):
-        return S.FillComp(S.Val(comp.dest), inner)
-    if isinstance(comp, M.FillLeafL):
-        return S.FillLeaf(inner, _Memo(comp.arg))
-    if isinstance(comp, M.FillLeafR):
-        return S.FillLeaf(S.Val(comp.dest), inner)
-    if isinstance(comp, M.OpenAmpar):
-        return OpenFocus(comp.holes, comp.left, inner)
-    raise TypeError("unknown focusing component: %r" % (comp,))
 
 
 class _OwnScopes:

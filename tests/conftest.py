@@ -36,6 +36,14 @@ def golden_term():
     return S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", body))
 
 
+def frame_of(node, field):
+    """The frame of `node` with its field `field` left empty, as a focusing rule makes it."""
+    slot = S.field_order(type(node)).index(field)
+    fields = list(S.layout(type(node))[0](node))
+    fields[slot] = None
+    return M.Frame(type(node), tuple(fields), slot)
+
+
 def dlist_prog(env, k):
     """toListN over k left-nested concatN of dsingleN (i % 10)."""
     concat = env.runnable("concatN")

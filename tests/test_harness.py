@@ -1,6 +1,5 @@
 """Trace verdicts, encodings, native oracles, step counting."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from destcalc.modes import UNIT
 from destcalc.typecheck import Checker, CheckStats, TypeEnv
 from destcalc.parser import TypeDef, parse_type
 
-from conftest import run_ok
+from conftest import frame_of, run_ok
 
 
 def _golden():
@@ -112,11 +111,11 @@ def test_preservation_shared_checker_matches_fresh(suite, preservation):
 
 
 def _kept_component(steps, run=4):
-    """(k, e): a component with a term field, in command k and, as the same
+    """(k, e): a frame with a term field, in command k and, as the same
     object, in the `run` commands after it."""
     for k, (_, cmd) in enumerate(steps):
         for e in cmd.ctx:
-            if isinstance(e, (M.SeqL, M.CasePairF, M.CaseSumF)) and all(
+            if isinstance(e, M.Frame) and e.cls in (S.Seq, S.CasePair, S.CaseSum) and all(
                 any(x is e for x in later.ctx) for _, later in steps[k + 1 : k + 1 + run]
             ):
                 return k, e
@@ -127,8 +126,10 @@ def test_preservation_fails_where_a_kept_component_breaks(suite):
     ck, ty, trace = suite["queue"]
     steps = list(trace.steps)
     k, e = _kept_component(steps)
-    field = {M.SeqL: "rest", M.CasePairF: "body", M.CaseSumF: "left_body"}[type(e)]
-    bad = dataclasses.replace(e, **{field: S.Var("nowhere")})
+    field = {S.Seq: "rest", S.CasePair: "body", S.CaseSum: "left_body"}[e.cls]
+    fields = list(e.fields)
+    fields[S.field_order(e.cls).index(field)] = S.Var("nowhere")
+    bad = M.Frame(e.cls, tuple(fields), e.slot)
     for j in range(k, len(steps)):
         rule, cmd = steps[j]
         if any(x is e for x in cmd.ctx):
@@ -157,9 +158,12 @@ def test_trace_balance_matches_per_command_scans(suite):
 
 def test_trace_balance_reports_a_repeated_unbalanced_component():
     open1 = M.OpenAmpar(frozenset({1}), S.HoleV(1))
-    twice = M.SeqL(S.Seq(S.FillUnit(S.Val(S.DestV(1))), S.FillUnit(S.Val(S.DestV(1)))))
-    lone = M.AppArg(S.AmparV(frozenset({2}), S.HoleV(2), S.UnitV()))  # no destination for 2
-    uneven = M.CaseSumF(UNIT, "x", S.FillUnit(S.Val(S.DestV(1))), "y", S.Val(S.UnitV()))
+    twice = frame_of(S.Seq(
+        None, S.Seq(S.FillUnit(S.Val(S.DestV(1))), S.FillUnit(S.Val(S.DestV(1))))), "first")
+    lone = frame_of(  # no destination for 2
+        S.App(None, S.Val(S.AmparV(frozenset({2}), S.HoleV(2), S.UnitV()))), "fn")
+    uneven = frame_of(
+        S.CaseSum(UNIT, None, "x", S.FillUnit(S.Val(S.DestV(1))), "y", S.Val(S.UnitV())), "scrut")
     unit = S.Val(S.UnitV())
     cmds = [
         M.Command((open1, lone, twice), unit),

@@ -8,7 +8,7 @@ from destcalc import syntax as S
 from destcalc.modes import Mode, UNIT, ONE_INF
 from destcalc.parser import parse_term
 
-from conftest import app_chain, plain_fv, plain_hmax, run_ok
+from conftest import app_chain, frame_of, plain_fv, plain_hmax, run_ok
 
 
 def golden_term():
@@ -158,7 +158,8 @@ def test_shift_ops():
 def test_hnames():
     assert M.hnames(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1))) == {1}
     assert M.hnames(()) == set()
-    ctx = (M.FromPrimeF(), M.OpenAmpar(frozenset({6, 7}), S.InrV(S.PairV(S.HoleV(6), S.HoleV(7)))))
+    ctx = (frame_of(S.FromAmparPrime(None), "inner"),
+           M.OpenAmpar(frozenset({6, 7}), S.InrV(S.PairV(S.HoleV(6), S.HoleV(7)))))
     assert M.hnames(ctx) == {6, 7}
 
 

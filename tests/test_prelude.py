@@ -5,7 +5,6 @@ import pytest
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
-from destcalc import typecheck
 from destcalc.parser import parse_type
 from destcalc.prelude import EXPECTED_TYPES, load_prelude, load_source
 from destcalc.typecheck import Checker, TypeCheckError
@@ -179,13 +178,14 @@ def test_request_types_only_what_it_adds(env, monkeypatch):
 
 
 def test_command_wrappers_keep_no_typing(env, monkeypatch):
-    # a check wraps the focus in one node per context component, made anew each time
+    # a check wraps the focus in one node per frame, plugged anew each time
     term = app_chain(S.App(env.runnable("mapN"), env.runnable("succ")), H.encode_list([1, 2]))
     ty = Checker(env.tyenv).check_command(M.Command((), term))
-    built, wrap = [], typecheck._wrap_component
-    monkeypatch.setattr(typecheck, "_wrap_component", lambda c, t: built.append(wrap(c, t)) or built[-1])
+    steps = list(M.run_term(term).trace.steps)
+    built, plug = [], M.plug
+    monkeypatch.setattr(M, "plug", lambda *a: built.append(plug(*a)) or built[-1])
     ck = Checker(env.tyenv)
-    for _, cmd in M.run_term(term).trace.steps:
+    for _, cmd in steps:
         ck.check_command(cmd, ty)
     assert built
     assert not [w for w in built if isinstance(w.__dict__.get("_typed_"), dict)]

@@ -14,6 +14,7 @@ from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.cli import print_command
+from destcalc.modes import ONE_INF, UNIT
 from destcalc.prelude import _read, load_source
 from destcalc.printer import print_value
 
@@ -123,7 +124,8 @@ def test_stored_caches_match_a_recomputation(programs, name):
     origin, steps = _commands(programs[name])
     seen, fv_memo, hmax_memo, checked = set(), {}, {}, 0
     for cmd in [origin] + [cmd for _, cmd in steps]:
-        todo = [cmd.focus] + [getattr(e, f) for e in cmd.ctx for f in S.field_names(type(e))]
+        todo = [cmd.focus] + [x for e in cmd.ctx
+                              for x in (e.fields if isinstance(e, M.Frame) else (e.left,))]
         while todo:
             x = todo.pop()
             if id(x) in seen or not isinstance(x, S._TERM_TYPES + S._VALUE_TYPES):
@@ -138,3 +140,52 @@ def test_stored_caches_match_a_recomputation(programs, name):
                 assert d["_hmax"] == plain_hmax(x, hmax_memo), (name, x)
                 checked += 1
     assert checked
+
+
+def _round_trip(rule, cmd, nxt, reached):
+    kind = rule.rstrip("₁₂")[-1]
+    if kind == "F":  # pushes a frame; plugging the new focus into it gives the old focus
+        outer, inner = cmd, nxt
+        assert M.plug(nxt.ctx[-1], nxt.focus) == cmd.focus
+        unfocus = "U".join(rule.rsplit("F", 1))  # the rule that pops this frame
+    elif kind == "U":  # pops a frame and plugs the value focus into it
+        outer, inner = nxt, cmd
+        assert nxt.focus == M.plug(cmd.ctx[-1], cmd.focus)
+        unfocus = rule
+    else:
+        return
+    frame = inner.ctx[-1]
+    assert isinstance(frame, M.Frame)
+    assert M.FRAMES[frame.cls, frame.slot].unfocus[0] == unfocus
+    assert len(inner.ctx) == len(outer.ctx) + 1
+    assert all(a is b for a, b in zip(inner.ctx, outer.ctx))  # the other frames are shared
+    reached.add((frame.cls, frame.slot))
+
+
+# a node per frame the pinned traces never push, its slot a term that steps
+_NEW = S.NewAmpar(None)
+_HAND_BUILT = [
+    (S.CaseBang(UNIT, _NEW, ONE_INF, "x", S.Var("x")), S.Val(S.ModV(ONE_INF, S.UnitV()))),
+    (S.ToAmpar(_NEW), S.Val(S.UnitV())),
+    (S.FillInl(_NEW), S.Val(S.DestV(1))),
+    (S.FillInr(_NEW), S.Val(S.DestV(1))),
+    (S.FillBang(_NEW, ONE_INF), S.Val(S.DestV(1))),
+    (S.FillFun(_NEW, "x", UNIT, S.Var("x")), S.Val(S.DestV(1))),
+    (S.FillComp(_NEW, S.Var("c")), S.Val(S.DestV(1))),
+    (S.FillComp(S.Val(S.DestV(1)), _NEW), S.Val(S.AmparV(frozenset(), S.UnitV(), S.UnitV()))),
+]
+
+
+def test_frames_round_trip(programs):
+    reached = set()
+    for name in sorted(PINNED):
+        cmd, steps = _commands(programs[name])
+        for rule, nxt in steps:
+            _round_trip(rule, cmd, nxt, reached)
+            cmd = nxt
+    for node, value in _HAND_BUILT:
+        pushed = M.step(M.Command((), node))
+        _round_trip(pushed.rule, M.Command((), node), pushed.command, reached)
+        popped = M.step(M.Command(pushed.command.ctx, value))
+        _round_trip(popped.rule, M.Command(pushed.command.ctx, value), popped.command, reached)
+    assert reached == set(M.FRAMES)

@@ -11,6 +11,8 @@ from destcalc.modes import (
 from destcalc.parser import TypeDef, parse_term, parse_type
 from destcalc.typecheck import Checker, TypeCheckError, TypeEnv
 
+from conftest import frame_of
+
 DEFS = {
     "T": TypeDef("T", (), None),
     "U": TypeDef("U", (), None),
@@ -209,8 +211,8 @@ def test_check_evalctx_disjointness(ck):
 
 
 def test_component_term_is_retyped_when_its_bindings_change(ck):
-    # one SeqL object under two open ampars whose hole ->1 has different types
-    rest = M.SeqL(S.FillUnit(S.Val(S.DestV(1))))
+    # one `[] ; rest` frame under two open ampars whose hole ->1 has different types
+    rest = frame_of(S.Seq(None, S.FillUnit(S.Val(S.DestV(1)))), "first")
     cmd = M.Command((M.OpenAmpar(frozenset({1}), S.HoleV(1)), rest), S.Val(S.UnitV()))
     unit_amp = S.TAmpar(S.TUnit(), S.TUnit())
     assert ck.tyenv.equal(ck.check_command(cmd, unit_amp), unit_amp)
