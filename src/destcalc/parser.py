@@ -9,6 +9,7 @@ desugarer).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,55 +37,48 @@ _SYMBOLS = ["<|", "<!", "<o", "-o", "->", "><", "(", ")", "{", "}", "[", "]",
 _STAR_KEYWORDS = {"new", "to", "from", "from'"}
 
 
+# characters `str.isdigit` accepts beyond `\d` (superscripts, circled digits, ...)
+_OTHER_DIGITS = (
+    "\u00b2-\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+    "\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
+    "\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
+    "\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a"
+)
+
+# One alternative per token kind, tried in order.  A number is a run of
+# `isdigit` characters; a name starts with a letter (checked after the match:
+# `[^\W\d_]` also admits numeric characters that are not letters) and goes on
+# with letters, digits, `_` and `'`; `new`, `to`, `from` and `from'` take a
+# `*` that follows them directly.
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(?P<nl>\n)|(?P<comment>--[^\n]*)"
+    r"|(?P<num>[\d" + _OTHER_DIGITS + r"]+)"
+    r"|(?P<ident>(?:new|to|from'?)\*|[^\W\d_][\w']*)"
+    r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
+    r"|(?P<bad>[^ \t\r]))"
+)
+
+
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, bol = 1, 0  # bol: the index where the current line begins
+    m = None
+    for m in _TOKEN.finditer(src):  # only spaces at the very end go unmatched
+        kind = m.lastgroup
+        if kind == "nl":
+            line, bol = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        pos = (line, col)
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("num", src[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_'"):
-                j += 1
-            word = src[i:j]
-            if word in _STAR_KEYWORDS and j < n and src[j] == "*":
-                word += "*"
-                j += 1
-            toks.append(Token("ident", word, pos))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("sym", sym, pos))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(pos, "a token (found %r)" % c)
-    toks.append(Token("eof", "", (line, col)))
+        text = m.group(kind)
+        pos = (line, m.start(kind) - bol + 1)
+        if kind == "bad" or (kind == "ident" and not text[0].isalpha()):
+            raise ParseError(pos, "a token (found %r)" % text[0])
+        toks.append(Token(kind, text, pos))
+    # a comment adds nothing to the column, so input that ends in one ends
+    # at the comment's own position
+    end = m.start("comment") if m is not None and m.lastgroup == "comment" else len(src)
+    toks.append(Token("eof", "", (line, end - bol + 1)))
     return toks
 
 

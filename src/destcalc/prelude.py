@@ -2,10 +2,18 @@
 
 Top-level definitions are transparent abbreviations: every reference is
 replaced by the definition's (annotated) body before type checking, so
-the calculus itself stays module-free.  Recursive functions must use
-`fix` explicitly.  The prelude's `.ld` sources are packaged next to this
-module; expected-to-fail entries (the scope-escape counterexamples) are
-validated to fail with the right diagnostic at load time.
+the calculus itself stays module-free.  When the definition is annotated
+and was checked in the same type environment, desugaring puts in its
+checked core with the desugarer's names renumbered (`syntax.renumbered`),
+equal field by field to what desugaring the body again would build; the
+copy carries the original's elaboration stamps and kept typing, so the
+checker serves it whole and a load types each definition's own code once.
+A program that declares no types shares its base's type environment; one
+that declares types gets a new one, so its references are desugared and
+typed afresh.  Recursive functions must use `fix` explicitly.  The
+prelude's `.ld` sources are packaged next to this module; expected-to-fail
+entries (the scope-escape counterexamples) are validated to fail with the
+right diagnostic at load time.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ class LoadedDef:
     sugar: object  # inlined, still-sugared body
     core: object  # desugared, elaborated body (from'* kept primitive)
     ty: object
+    names: int = 0  # desugarer names minted in `core`
+    tyenv: Optional[TypeEnv] = None  # the type environment of the program that loaded it
 
 
 @dataclass
@@ -71,9 +81,11 @@ def _inline(t, defs: Dict[str, LoadedDef]):
         d = defs.get(v.name)
         if d is None:
             return v
-        if d.ann is not None:
-            return S.Annot(d.sugar, d.ann, pos=v.pos)
-        return d.sugar
+        if d.ann is None:
+            return d.sugar
+        out = S.Annot(d.sugar, d.ann, pos=v.pos)
+        out.__dict__["_def_"] = d  # lets `load_program` put in the checked core
+        return out
 
     return S.map_free_vars(t, use)
 
@@ -83,20 +95,34 @@ def load_program(
     base: Optional[ProgramEnv] = None,
     check: bool = True,
 ) -> ProgramEnv:
-    """Inline, desugar and check every definition of a parsed program."""
-    if base is not None:
-        tyenv = TypeEnv({**base.tyenv.defs, **prog.type_defs})
-        env = ProgramEnv(tyenv, dict(base.defs), list(base.order), prog.main or base.main)
+    """Inline, desugar and check every definition of a parsed program.
+
+    A program that declares no types shares its base's type environment,
+    so the definitions it inlines from there come in as checked copies.
+    """
+    if base is None:
+        tyenv = TypeEnv(prog.type_defs)
+        env = ProgramEnv(tyenv, main=prog.main)
     else:
-        env = ProgramEnv(TypeEnv(prog.type_defs), main=prog.main)
+        tyenv = TypeEnv({**base.tyenv.defs, **prog.type_defs}) if prog.type_defs else base.tyenv
+        env = ProgramEnv(tyenv, dict(base.defs), list(base.order), prog.main or base.main)
     checker = env.checker()
+
+    # only a definition loaded in this type environment, so no stamp made in
+    # another is read; `tyenv`, not `env`, because `desugar`'s walker is a
+    # closure cycle, freed only by the collector, that would keep `env` alive
+    def known(annot):
+        d = annot.__dict__.get("_def_")
+        return (d.core, d.names) if d is not None and d.tyenv is tyenv else None
+
     for d in prog.term_defs:
         inlined = _inline(d.body, env.defs)
-        core = S.desugar(inlined)
+        fresh = S.FreshNames()
+        core = S.desugar(inlined, fresh, known)
         ty = d.ann
         if check:
             ty = checker.check_term({}, core, d.ann)
-        env.defs[d.name] = LoadedDef(d.name, d.ann, inlined, core, ty)
+        env.defs[d.name] = LoadedDef(d.name, d.ann, inlined, core, ty, fresh.count, tyenv)
         env.order.append(d.name)
     return env
 

@@ -570,15 +570,18 @@ _TYPE_TYPES = (TUnit, TSum, TProd, TBang, TArrow, TDest, TAmpar, TNamed)
 # ---------------------------------------------------------------------------
 # Desugaring
 
-MOD_INF_UNIT = ModV(ONE_INF, UnitV())
-
-
-def desugar(t, fresh: Optional[FreshNames] = None):
+def desugar(t, fresh: Optional[FreshNames] = None, known=None):
     """Expand every sugar constructor into core syntax.
 
     from'* is kept as the FromAmparPrime node here; `lower_from_prime`
     replaces it by its upd/from/Mod expansion when the primitive is not
     enabled.  Idempotent on core terms.
+
+    `known(a)` may give, for an `Annot` node `a`, a core term `c` that
+    desugaring `a.inner` from a fresh generator builds, and the count `n`
+    of names that generator minted.  The inner term then becomes
+    `renumbered(c, ...)` and the count moves on by `n`, which equals, field
+    by field, what desugaring `a.inner` here would give.
     """
     if fresh is None:
         fresh = FreshNames()
@@ -632,8 +635,59 @@ def desugar(t, fresh: Optional[FreshNames] = None):
             return go(out)
         if isinstance(t, FromPrimeS):
             return FromAmparPrime(go(t.inner), pos=t.pos)
+        if known is not None and type(t) is Annot:
+            hit = known(t)
+            if hit is not None:
+                core, names = hit
+                inner = renumbered(core, fresh.prefix, fresh.count)
+                fresh.count += names
+                return Annot(inner, t.ty, pos=t.pos)
         # core nodes: rebuild with desugared children
         return rebuild(t, go)
+
+    return go(t)
+
+
+def renumbered(t, prefix: str, shift: int):
+    """Core term `t` with every name `<prefix>N` renamed `<prefix>(N+shift)`.
+
+    A node whose subterm holds no such name is kept as it is; every other node
+    is new and keeps `pos`, its elaboration stamps and the typing a checker
+    kept on it (`_typed_`): it is the same term up to the names of its bound
+    variables, so that typing holds for it too.
+    """
+    if shift == 0:
+        return t
+    cut = len(prefix)
+
+    def name(x):
+        if x.startswith(prefix) and x[cut:].isdigit():
+            return prefix + str(int(x[cut:]) + shift)
+        return x
+
+    def go(node):
+        cls = type(node)
+        if cls is Var:
+            new = name(node.name)
+            return node if new is node.name else Var(new, pos=node.pos)
+        get, kids = layout(cls)
+        args = list(get(node))
+        changed = False
+        for i, scope in kids:
+            new = go(args[i])
+            if new is not args[i]:
+                args[i], changed = new, True
+            for j in scope:
+                new = name(args[j])
+                if new is not args[j]:
+                    args[j], changed = new, True
+        if not changed:
+            return node
+        out = cls(*args)
+        typed = node.__dict__.get("_typed_")
+        if typed is not None:
+            out.__dict__["_typed_"] = typed
+        return out
 
     return go(t)
 

@@ -15,8 +15,9 @@ commands the machine later builds out of those nodes can be re-checked
 mid-trace (preservation) without re-running global inference.  A checker
 remembers the typing of the terms that recur across the commands of a
 trace, so re-checking a command costs what changed plus the focus.  The
-typing of a closed term is kept on the term itself, so a shared library
-term is typed once per type environment, not once per request.
+typing of a closed term is kept on the term itself, in whatever context it
+was typed, so a shared library term is typed once per type environment, not
+once per request or once per definition that inlines it.
 """
 
 from __future__ import annotations
@@ -468,10 +469,11 @@ class Checker:
     def infer(self, gamma, t, exp) -> Tuple[object, Usage]:
         """Infer `t` in `gamma` against `exp` -> (type, usage).
 
-        At the empty context a success means `t` is closed and hole-free,
-        so its typing depends only on the type environment, `exp` and the
-        mode strictness.  It is kept on the node (`_typed_`) for as long as
-        the node lives: a shared library term is typed once per type
+        A success with an empty usage read no binding of `gamma`: `t` is
+        closed and hole-free, so its typing depends only on the type
+        environment, `exp` and the mode strictness, in any context.  It is
+        kept on the node (`_typed_`) for as long as the node lives: a shared
+        library term, or a closed term under binders, is typed once per type
         environment, whichever checker asks.  A hit replays the destination
         coercions the first inference counted.  Failures are not kept, nor
         are the typings of the wrapper nodes a check builds around a focus.
@@ -480,7 +482,7 @@ class Checker:
             ty, usage = self._infer(gamma, t, exp)
             self.type_log[id(t)] = ty
             return ty, usage
-        if gamma or type(t) in _INTERNAL_NODES:
+        if type(t) in _UNKEPT:
             return self._infer(gamma, t, exp)
         typed = t.__dict__.get("_typed_")
         if typed is _WRAPPER:
@@ -1049,9 +1051,10 @@ class _Memo:
     pos = None
 
 
-# built by the checker itself: never typed from a kept entry (a probe's capture
-# is a side effect, and the others are made anew for every check)
-_INTERNAL_NODES = (_Probe, _Memo, OpenFocus)
+# never typed from a kept entry: the checker's own nodes (a probe's capture is
+# a side effect, and the others are made anew for every check), and variables,
+# which always read their binding
+_UNKEPT = (_Probe, _Memo, OpenFocus, S.Var)
 
 
 _WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap_components` made

@@ -1,12 +1,15 @@
+from typing import List
+
 import pytest
 
 from destcalc import harness as H
 from destcalc import machine as M
+from destcalc import prelude as P
 from destcalc import syntax as S
 from destcalc.modes import UNIT
-from destcalc.parser import parse_type
+from destcalc.parser import _STAR_KEYWORDS, _SYMBOLS, ParseError, Token, parse, parse_type
 from destcalc.prelude import load_prelude
-from destcalc.typecheck import Checker
+from destcalc.typecheck import Checker, TypeEnv
 
 
 @pytest.fixture(scope="session")
@@ -141,3 +144,120 @@ def preservation(suite):
         fresh = Checker(ck.tyenv)
         out[name] = (H.check_preservation(trace, fresh, ty), fresh.stats)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Cache-free references of the loading path
+
+
+def reference_tokenize(src: str) -> List[Token]:
+    """The tokenizer as a loop over characters; `parser.tokenize` must agree with it."""
+    toks: List[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("--", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        pos = (line, col)
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("num", src[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_'"):
+                j += 1
+            word = src[i:j]
+            if word in _STAR_KEYWORDS and j < n and src[j] == "*":
+                word += "*"
+                j += 1
+            toks.append(Token("ident", word, pos))
+            col += j - i
+            i = j
+            continue
+        for sym in _SYMBOLS:
+            if src.startswith(sym, i):
+                toks.append(Token("sym", sym, pos))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(pos, "a token (found %r)" % c)
+    toks.append(Token("eof", "", (line, col)))
+    return toks
+
+
+def reference_load_program(prog, base=None) -> P.ProgramEnv:
+    """Load a parsed program with no checked copy and no kept typing: every
+    reference is inlined as sugar, desugared afresh and checked by a checker
+    that reads no typing kept on a node (`type_log`)."""
+    if base is not None:
+        tyenv = TypeEnv({**base.tyenv.defs, **prog.type_defs})
+        env = P.ProgramEnv(tyenv, dict(base.defs), list(base.order), prog.main or base.main)
+    else:
+        env = P.ProgramEnv(TypeEnv(prog.type_defs), main=prog.main)
+    checker = Checker(env.tyenv, type_log={})
+
+    def use(v):
+        d = env.defs.get(v.name)
+        if d is None:
+            return v
+        return d.sugar if d.ann is None else S.Annot(d.sugar, d.ann, pos=v.pos)
+
+    for d in prog.term_defs:
+        inlined = S.map_free_vars(d.body, use)
+        core = S.desugar(inlined)
+        ty = checker.check_term({}, core, d.ann)
+        env.defs[d.name] = P.LoadedDef(d.name, d.ann, inlined, core, ty)
+        env.order.append(d.name)
+    return env
+
+
+def reference_load_prelude() -> P.ProgramEnv:
+    """The prelude through `reference_load_program` (no load-time validation)."""
+    env, parsed = None, {}
+    for fname in P.PRELUDE_FILES:
+        parsed[fname] = parse(P._read(fname))
+        env = reference_load_program(parsed[fname], env)
+    for suffix, ty_args, files in P.INSTANTIATIONS:
+        env = reference_load_program(P.instantiate([parsed[f] for f in files], ty_args, suffix), env)
+    for fname in P.POST_FILES:
+        env = reference_load_program(parse(P._read(fname)), env)
+    return env
+
+
+def layout_diff(a, b, path="core"):
+    """Where two terms differ in any constructor field (`pos` and stamps
+    included), or None when they agree everywhere."""
+    if type(a) is not type(b):
+        return "%s: %s vs %s" % (path, type(a).__name__, type(b).__name__)
+    if not isinstance(a, S._TERM_TYPES):
+        return None if a == b else "%s: %r vs %r" % (path, a, b)
+    get, kids = S.layout(type(a))
+    names = S.field_order(type(a))
+    terms = {i for i, _ in kids}
+    for i, (x, y) in enumerate(zip(get(a), get(b))):
+        where = "%s.%s" % (path, names[i])
+        if i in terms:
+            diff = layout_diff(x, y, where)
+            if diff:
+                return diff
+        elif x != y or type(x) is not type(y):
+            return "%s: %r vs %r" % (where, x, y)
+    return None

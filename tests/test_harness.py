@@ -87,13 +87,14 @@ def test_balance(golden_trace):
 
 
 class _FreshPerCommand:
-    """A checker stand-in that checks every command with a new `Checker`."""
+    """A checker stand-in that checks every command with a new `Checker` that
+    neither reads nor keeps a typing on a node (`type_log`)."""
 
     def __init__(self, tyenv):
         self.tyenv, self.stats = tyenv, CheckStats()
 
     def check_command(self, cmd, expected=None):
-        ck = Checker(self.tyenv)
+        ck = Checker(self.tyenv, type_log={})
         try:
             return ck.check_command(cmd, expected)
         finally:

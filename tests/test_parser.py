@@ -1,12 +1,21 @@
 """Surface syntax: fixed renderings plus the print/parse round trip."""
 
+import glob
+import os
+import pathlib
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from destcalc import syntax as S
 from destcalc.modes import INF, Mode, UNIT
-from destcalc.parser import ParseError, parse, parse_term, parse_type
+from destcalc.parser import _OTHER_DIGITS, ParseError, parse, parse_term, parse_type, tokenize
+from destcalc.prelude import prelude_path
 from destcalc.printer import print_mode, print_term, print_type
+
+from conftest import reference_tokenize
 
 
 def test_fixed_renderings():
@@ -159,3 +168,38 @@ def test_whole_prelude_round_trip():
         assert txt.isascii()
         p2 = parse(txt)
         assert (p2.type_defs, p2.term_defs, p2.main) == (p1.type_defs, p1.term_defs, p1.main)
+
+
+def _tokens(tok, src):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tok(src)]
+    except ParseError as e:
+        return ("error", e.position, e.expected)
+
+
+EDGE_SOURCES = [
+    "new*", "new *", "news*", "from'*", "from''*", "to*x", "(new*)",
+    "a $ b", "x -- c  ", "def x : Nat = -- no body", "--", "a\n--c\n", "x  ",
+    "x\r\ny \r\n -- c\r\n", "\tx\t-o\ty", "<oops <|<! -o->><", "- x",
+    "\u00e9lan \u03bbx x\u0663 \u0663\u0664 \u4e00", "\u00b23 3\u00b2", "\u00bd", "a\u00bd",
+    "\u216b",
+]
+
+
+def test_tokenizer_matches_the_character_loop():
+    sources = [pathlib.Path(p).read_text() for p in glob.glob(
+        os.path.join(prelude_path(""), "**", "*.ld"), recursive=True)]
+    assert len(sources) >= 13
+    for src in sources + EDGE_SOURCES:
+        assert _tokens(tokenize, src) == _tokens(reference_tokenize, src), src
+    # end of input after a comment is at the comment's column
+    assert tokenize("def x : Nat = -- no body")[-1].pos == (1, 15)
+    with pytest.raises(ParseError, match="parse error at 1:15"):
+        parse("def x : Nat = -- no body")
+
+
+def test_digit_class_is_isdigit():
+    # the tokenizer's number class, against `str.isdigit` on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    digits = re.findall(r"[\d" + _OTHER_DIGITS + "]", every)
+    assert "".join(digits) == "".join(filter(str.isdigit, every))

@@ -5,11 +5,14 @@ import pytest
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
-from destcalc.parser import parse_type
+from destcalc.modes import UNIT
+from destcalc.parser import parse, parse_type
 from destcalc.prelude import EXPECTED_TYPES, load_prelude, load_source
 from destcalc.typecheck import Checker, TypeCheckError
 
-from conftest import app_chain, dlist_prog, run_ok
+from conftest import (
+    app_chain, dlist_prog, layout_diff, reference_load_prelude, reference_load_program, run_ok,
+)
 
 
 def test_loads_and_declared_types(env):
@@ -154,6 +157,11 @@ def test_runnable_is_built_once_per_env(env):
 def test_kept_typing_matches_the_uncached_path(env):
     cases = {name: (env.runnable(name), env.defs[name].ty) for name in env.order}
     cases.update(_request_origins(env))
+    # a closed term typed under two binders keeps its typing too
+    closed = app_chain(S.App(env.runnable("mapN"), env.runnable("succ")), H.encode_list([2, 0]))
+    body = S.Seq(S.Var("a"), S.Seq(S.Var("b"), closed))
+    pair = S.Val(S.PairV(S.UnitV(), S.UnitV()))
+    cases["under a binder"] = (S.CasePair(UNIT, pair, "a", "b", body), S.TNamed("List", (NAT,)))
     memo = Checker(env.tyenv)
     for name, (term, expected) in cases.items():
         want = _typing(Checker(env.tyenv, type_log={}), term, expected)
@@ -161,6 +169,7 @@ def test_kept_typing_matches_the_uncached_path(env):
         assert "_typed_" in term.__dict__, name
         assert _typing(memo, term, expected) == want, name
         assert _typing(Checker(env.tyenv), term, expected) == want, name
+    assert "_typed_" in closed.__dict__
 
 
 def test_request_types_only_what_it_adds(env, monkeypatch):
@@ -205,10 +214,85 @@ def test_failures_are_not_kept(env):
 
 
 def test_kept_typing_is_per_type_env(env):
-    other = load_source("def one : Nat = 1\n", base=env)
+    # declaring a type gives a program its own environment; declaring none shares the base's
+    other = load_source("type Flag = 1 + 1\ndef one : Nat = 1\n", base=env)
+    assert other.tyenv is not env.tyenv
     term, expected = env.runnable("mapN"), env.defs["mapN"].ty
     for tyenv in (env.tyenv, other.tyenv, env.tyenv, other.tyenv):
         assert Checker(tyenv).check_term({}, term, expected) == expected
     keys = [k for k in term.__dict__["_typed_"]
             if k[0] in (env.tyenv, other.tyenv) and k[1:] == (expected, True)]
     assert sorted(id(k[0]) for k in keys) == sorted((id(env.tyenv), id(other.tyenv)))
+
+
+# ---------------------------------------------------------------------------
+# Checked copies: a load builds what the cache-free reference builds
+
+SHADOWS_SUCC = """
+def succ : Nat -o Nat = \\n -> from'* (upd (new* : Nat >< Dest Nat) with d ->
+  d <| Inr <! (from'* (upd (new* : Nat >< Dest Nat) with e -> e <| Inr <! n)))
+def p : List Nat = mapN succ (consN 3 (consN 1 nilN))
+def q : Nat -o Nat = \\n -> succ (succ n)
+"""
+
+DECLARES_A_TYPE = """
+type Flag = 1 + 1
+type DList a = (1 + (a * List a)) >< Dest (List a)
+def two : List Nat = toListN (appendN (dsingleN 1) 2)
+def yes : Flag = from'* (upd (new* : Flag >< Dest Flag) with d -> d <| Inl <| Unit)
+def both : Nat * Nat = (1, succ 2)
+def p : List Nat = mapN succ (consN 3 nilN)
+"""
+
+ON_A_DECLARED_TYPE = """
+def flags : Flag * Flag = (yes, yes)
+def r : Nat -o List Nat = \\n -> consN (succ n) p
+"""
+
+
+def _assert_loads_alike(env, ref, names):
+    for name in names:
+        got, want = env.defs[name], ref.defs[name]
+        assert layout_diff(got.core, want.core) is None, (name, layout_diff(got.core, want.core))
+        assert got.ty == want.ty, name
+        for from_prime in (False, True):
+            diff = layout_diff(env.runnable(name, from_prime), ref.runnable(name, from_prime))
+            assert diff is None, (name, from_prime, diff)
+
+
+def _term_nodes(env):
+    out = {}
+    stack = [d.core for d in env.defs.values()] + [d.sugar for d in env.defs.values()]
+    stack += [env.runnable(n, fp) for n in env.order for fp in (False, True)]
+    while stack:
+        t = stack.pop()
+        if id(t) not in out:
+            out[id(t)] = t
+            get, kids = S.layout(type(t))
+            fields = get(t)
+            stack.extend(fields[i] for i, _ in kids)
+    return out
+
+
+def test_load_matches_the_cache_free_reference():
+    env, ref = load_prelude(), reference_load_prelude()
+    assert env.order == ref.order
+    _assert_loads_alike(env, ref, env.order)
+    user, user_ref = env, ref
+    for src in (SHADOWS_SUCC, DECLARES_A_TYPE, ON_A_DECLARED_TYPE):
+        # the last one builds on the program that declares a type
+        base, base_ref = (user, user_ref) if src is ON_A_DECLARED_TYPE else (env, ref)
+        user = load_source(src, base=base)
+        user_ref = reference_load_program(parse(src), base_ref)
+        _assert_loads_alike(user, user_ref, [d.name for d in parse(src).term_defs])
+    # two loads share no node
+    assert not _term_nodes(env).keys() & _term_nodes(load_prelude()).keys()
+
+
+def test_a_load_types_each_definition_once(monkeypatch):
+    # the prelude's own code only: inlined definitions come in typed
+    visited = []
+    infer = Checker._infer
+    monkeypatch.setattr(Checker, "_infer", lambda ck, g, t, e: visited.append(t) or infer(ck, g, t, e))
+    load_prelude()
+    assert len(visited) <= 1800
