@@ -5,9 +5,10 @@
 
 Checks the parent out into a temporary `git worktree` (removed afterwards)
 and runs `perfbench/run.py` of each tree, parent and change (this checkout,
-as it is on disk), one seed at a time with the order alternating from seed to
-seed: 40-s untraced runs by default, the length BENCHMARK.json sets.  For each
-workload and end-to-end metric the output keeps both sides' values, medians
+as it is on disk), on every workload BENCHMARK.json lists, one seed at a time
+with the order alternating from seed to seed: untraced runs of the length
+BENCHMARK.json sets, the same on both sides.  For each workload and end-to-end
+metric the output keeps both sides' values, medians
 and quartiles, the ratio of the medians, the pairs the change wins (by the
 metric's direction in BENCHMARK.json), and whether the gap between the
 medians exceeds the parent's interquartile range.  One traced run per side on
@@ -77,20 +78,21 @@ def compare(parent_runs, change_runs, better):
 
 def bench(parent_tree, args, spec):
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     sides = {"parent": parent_tree, "change": ROOT}
     doc = {"parent": git("rev-parse", args.parent), "change": "working tree on " + git("rev-parse", "HEAD"),
            "python": platform.python_version(), "machine": platform.machine(),
-           "cpus": os.cpu_count(), "run_seconds": args.seconds, "seeds": args.seeds,
+           "cpus": os.cpu_count(), "run_seconds": seconds, "seeds": args.seeds,
            "order": "even positions run the parent first, odd ones the change",
            "workloads": {}}
-    for workload in args.workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                runs[side].append(one_run(sides[side], workload, seed, args.seconds, 0))
+                runs[side].append(one_run(sides[side], workload, seed, seconds, 0))
             row = {s: round(runs[s][-1]["metrics"]["wall_s"]["value"], 4) for s in runs}
             print(workload, seed, row, flush=True)
-        traced = {s: one_run(sides[s], workload, args.seeds[0], args.seconds, 1) for s in sides}
+        traced = {s: one_run(sides[s], workload, args.seeds[0], seconds, 1) for s in sides}
         doc["workloads"][workload] = {
             "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
             "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
@@ -112,11 +114,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    args.workloads = args.workloads.split(",")
     tmp = tempfile.mkdtemp(prefix="ab_bench_")
     tree = os.path.join(tmp, "parent")
     git("worktree", "add", "--detach", tree, args.parent)

@@ -261,9 +261,13 @@ def _assert_loads_alike(env, ref, names):
 
 
 def _term_nodes(env):
+    terms = [d.core for d in env.defs.values()] + [d.sugar for d in env.defs.values()]
+    return _nodes(terms + [env.runnable(n, fp) for n in env.order for fp in (False, True)])
+
+
+def _nodes(terms):
     out = {}
-    stack = [d.core for d in env.defs.values()] + [d.sugar for d in env.defs.values()]
-    stack += [env.runnable(n, fp) for n in env.order for fp in (False, True)]
+    stack = list(terms)
     while stack:
         t = stack.pop()
         if id(t) not in out:
@@ -287,6 +291,29 @@ def test_load_matches_the_cache_free_reference():
         _assert_loads_alike(user, user_ref, [d.name for d in parse(src).term_defs])
     # two loads share no node
     assert not _term_nodes(env).keys() & _term_nodes(load_prelude()).keys()
+
+
+REDEFINES_NAT = """
+type Nat = 1 + Nat
+def three : Nat = succ (succ 1)
+def q : Nat -o List Nat = \\n -> consN (succ n) nilN
+"""
+
+
+def test_a_program_that_declares_types_puts_in_no_checked_copy():
+    # its type environment is not its base's, so it desugars what it inlines
+    # afresh: a node it shares with a base core is one of its own sugar, which
+    # `desugar` keeps, never part of a checked copy stamped under the base's
+    env = load_prelude()
+    user = load_source(REDEFINES_NAT, base=env)
+    assert user.tyenv is not env.tyenv
+    base = _nodes(d.core for d in env.defs.values()).keys()
+    names = [d.name for d in parse(REDEFINES_NAT).term_defs]
+    for name in names:
+        d = user.defs[name]
+        assert _nodes([d.core]).keys() & base <= _nodes([d.sugar]).keys(), name
+    ref = reference_load_program(parse(REDEFINES_NAT), reference_load_prelude())
+    _assert_loads_alike(user, ref, names)
 
 
 def test_a_load_types_each_definition_once(monkeypatch):
