@@ -3,8 +3,8 @@
 
     python3 scripts/ab_bench.py --parent HEAD~1 --seeds 701-710 --out BENCH_7.json
 
-Checks the parent out into a temporary `git worktree` (removed afterwards)
-and runs `perfbench/run.py` of each tree, parent and change (this checkout,
+Exports the parent into a temporary directory (`git archive`, removed
+afterwards) and runs `perfbench/run.py` of each tree, parent and change (this checkout,
 as it is on disk), on every workload BENCHMARK.json lists, one seed at a time
 with the order alternating from seed to seed: untraced runs of the length
 BENCHMARK.json sets, the same on both sides.  For each workload and end-to-end
@@ -116,14 +116,11 @@ def main():
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
-    tmp = tempfile.mkdtemp(prefix="ab_bench_")
-    tree = os.path.join(tmp, "parent")
-    git("worktree", "add", "--detach", tree, args.parent)
-    try:
+    with tempfile.TemporaryDirectory(prefix="ab_bench_") as tree:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
         doc = bench(tree, args, spec)
-    finally:
-        git("worktree", "remove", "--force", tree)
-        os.rmdir(tmp)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

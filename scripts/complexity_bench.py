@@ -1,19 +1,26 @@
 #!/usr/bin/env python3
-"""Machine-step growth of difference-list vs naive list concatenation.
+"""The verification ladder: what `--verify` costs on difference-list concatenation.
 
-Builds k singleton lists, concatenates them left-nested, and converts to
-a plain list.  Difference lists graft in place (linear total steps); the
-structural append retraverses its left argument (quadratic).  For each
-doubling of k it prints the ratio of steps and the ratio of wall time
-(one run per size, so small sizes are noisy).
+    PYTHONPATH=src python3 scripts/complexity_bench.py [--sizes 16 32 64 128]
+
+For `toListN` over k left-nested `concatN` of `dsingleN (i % 10)` it runs the
+machine, then times the preservation pass (`check_preservation` with a new
+checker) and the balance scan (`scan_trace_balance`) over the trace, and
+counts the `Checker._infer` and `Checker.infer_value` calls a preservation
+pass makes, on a second run of the machine so that counting does not slow the
+timed pass.  After the first size each column also shows its growth since
+the size before: doubling k doubles the steps, so a pass linear in the trace
+grows about 2x per doubling.
 """
 
 import argparse
 import time
 
 from destcalc import harness as H
+from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.prelude import load_prelude
+from destcalc.typecheck import Checker
 
 
 def dlist_prog(env, k):
@@ -24,40 +31,73 @@ def dlist_prog(env, k):
     return S.App(env.runnable("toListN"), acc)
 
 
-def naive_prog(env, k):
-    app, cons, nil = (env.runnable(n) for n in ("appendListN", "consN", "nilN"))
+def _trace(term):
+    trace = M.run_term(term, 10**7).trace
+    list(trace.steps)  # build the commands before anything is timed
+    return trace
 
-    def single(i):
-        return S.App(S.App(cons, S.Val(H.encode_nat(i % 10))), nil)
 
-    acc = single(0)
-    for i in range(1, k):
-        acc = S.App(S.App(app, acc), single(i))
-    return acc
+def _timed(fn, *args):
+    start = time.perf_counter()
+    verdict = fn(*args)
+    if not verdict.ok:
+        raise SystemExit("verdict failure: %s" % verdict.failures[:1])
+    return time.perf_counter() - start
+
+
+def _counted_preservation(env, trace, ty):
+    """(`_infer` calls, `infer_value` calls) of one preservation pass."""
+    calls = {"_infer": 0, "infer_value": 0}
+    originals = {name: getattr(Checker, name) for name in calls}
+
+    def counting(name):
+        original = originals[name]
+
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        setattr(Checker, name, counting(name))
+    try:
+        _timed(H.check_preservation, trace, Checker(env.tyenv), ty)
+    finally:
+        for name, original in originals.items():
+            setattr(Checker, name, original)
+    return calls["_infer"], calls["infer_value"]
+
+
+def ladder_row(env, k):
+    """(steps, preservation s, balance s, `_infer` calls, `infer_value` calls) at size k."""
+    term = dlist_prog(env, k)
+    ty = env.checker().check_command(M.Command((), term))
+    trace = _trace(term)
+    preservation = _timed(H.check_preservation, trace, Checker(env.tyenv), ty)
+    balance = _timed(H.scan_trace_balance, trace)
+    return (len(trace.steps), preservation, balance) + _counted_preservation(env, _trace(term), ty)
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 32, 64])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128])
     args = ap.parse_args()
     env = load_prelude()
-    print("%6s %12s %9s %12s %9s" % ("k", "dlist steps", "dlist s", "naive steps", "naive s"))
+    heads = ("steps", "preservation s", "balance s", "_infer calls", "infer_value calls")
+    print("%5s" % "k" + "".join("%21s" % h for h in heads))
     prev = None
     for k in args.sizes:
-        row = _timed_steps(dlist_prog(env, k)) + _timed_steps(naive_prog(env, k))
-        ratios = ""
-        if prev is not None:
-            r = [a / b for a, b in zip(row, prev)]
-            ratios = "   step ratios: dlist %.2f, naive %.2f; time ratios: dlist %.2f, naive %.2f" % (
-                r[0], r[2], r[1], r[3])
-        print("%6d %12d %9.3f %12d %9.3f%s" % ((k,) + row + (ratios,)))
+        row = ladder_row(env, k)
+        cells = []
+        for i, x in enumerate(row):
+            shown = ("%.3f" if isinstance(x, float) else "%d") % x
+            if prev is not None:
+                shown += " (%.2fx)" % (x / prev[i])
+            cells.append("%21s" % shown)
+        print("%5d" % k + "".join(cells), flush=True)
         prev = row
 
-
-def _timed_steps(term):
-    start = time.perf_counter()
-    steps = H.count_steps(term, 10**7)
-    return steps, time.perf_counter() - start
 
 if __name__ == "__main__":
     main()

@@ -177,6 +177,8 @@ def _hn_value(v, out: set):
 
 
 def _hn_term(t, out: set):
+    if hmax_term(t) == 0:  # names start at 1: the term holds none
+        return
     if isinstance(t, S.Val):
         _hn_value(t.value, out)
         return

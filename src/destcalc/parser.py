@@ -37,22 +37,15 @@ _SYMBOLS = ["<|", "<!", "<o", "-o", "->", "><", "(", ")", "{", "}", "[", "]",
 _STAR_KEYWORDS = {"new", "to", "from", "from'"}
 
 
-# characters `str.isdigit` accepts beyond `\d` (superscripts, circled digits, ...)
-_OTHER_DIGITS = (
-    "\u00b2-\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
-    "\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff"
-    "\u2776-\u277e\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43"
-    "\U00010e60-\U00010e68\U00011052-\U0001105a\U0001f100-\U0001f10a"
-)
-
 # One alternative per token kind, tried in order.  A number is a run of
-# `isdigit` characters; a name starts with a letter (checked after the match:
-# `[^\W\d_]` also admits numeric characters that are not letters) and goes on
-# with letters, digits, `_` and `'`; `new`, `to`, `from` and `from'` take a
-# `*` that follows them directly.
+# decimal digits (`str.isdecimal`); a name starts with a letter (checked after
+# the match: `[^\W\d_]` also admits numeric characters that are neither
+# letters nor decimal digits, such as superscripts) and goes on with letters,
+# digits, `_` and `'`; `new`, `to`, `from` and `from'` take a `*` that follows
+# them directly.
 _TOKEN = re.compile(
     r"[ \t\r]*(?:(?P<nl>\n)|(?P<comment>--[^\n]*)"
-    r"|(?P<num>[\d" + _OTHER_DIGITS + r"]+)"
+    r"|(?P<num>\d+)"
     r"|(?P<ident>(?:new|to|from'?)\*|[^\W\d_][\w']*)"
     r"|(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + r")"
     r"|(?P<bad>[^ \t\r]))"
@@ -116,13 +109,15 @@ _TERM_STOPPERS = {"of", "with", "type", "def", "main"}
 
 class Parser:
     def __init__(self, src: str):
-        self.toks = tokenize(src)
+        toks = tokenize(src)
+        # a second `eof` lets `peek` read past the first one without a bound check
+        self.toks = toks + toks[-1:]
         self.i = 0
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -130,11 +125,11 @@ class Parser:
         return t
 
     def at_sym(self, s: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == "sym" and t.text == s
 
     def at_word(self, w: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.kind == "ident" and t.text == w
 
     def eat_sym(self, s: str) -> Token:

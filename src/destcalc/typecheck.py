@@ -12,11 +12,19 @@ from the expected type reaching it.
 
 Checking stamps scrutinee and parameter types onto the visited nodes, so
 commands the machine later builds out of those nodes can be re-checked
-mid-trace (preservation) without re-running global inference.  A checker
-remembers the typing of the terms that recur across the commands of a
-trace, so re-checking a command costs what changed plus the focus.  The
-typing of a closed term is kept on the term itself, in whatever context it
-was typed, so a shared library term is typed once per type environment, not
+mid-trace (preservation) without re-running global inference.  A command
+is its context's components wrapped around its focus, and consecutive
+commands of a trace share the components a step did not touch.  A checker
+keeps one level per component of the last command it checked, as a zipper
+over the context: the typing that reaches the component's slot and the
+typing the component produced from its slot's.  The next command reuses
+the levels of the longest prefix of components that are the same objects,
+types the later components down to their slots and the focus at its slot,
+and re-types upwards only until a reused level's slot typing is unchanged.
+The terms a frame holds besides its slot and the bodies of lambda values
+are typed once per typing context while the checker lives, and the typing
+of a closed term is kept on the term itself, in whatever context it was
+typed, so a shared library term is typed once per type environment, not
 once per request or once per definition that inlines it.
 """
 
@@ -93,6 +101,7 @@ class OpenFocus:
     holes: frozenset
     left: object  # Value under construction
     inner: object  # reconstructed inner term
+    typed: Optional[tuple] = None  # the structure's typing, once inferred (`_infer_open`)
     pos = None
 
 
@@ -295,7 +304,8 @@ class Checker:
         # kept here while this checker lives.  Entries hold the object whose id
         # is their key, so that id cannot be reused.
         self._memo = {}  # see `_infer_memo`
-        self._hole_names = {}  # id(component) -> (component, its hole names)
+        self._levels: List[_Level] = []  # the last command checked by levels, outermost first
+        self._expected = None  # the type that command was checked against
 
     # -- type head helpers ---------------------------------------------------
 
@@ -443,26 +453,100 @@ class Checker:
         return ty
 
     def check_command(self, cmd, expected=None):
-        self._check_open_disjointness(cmd)
-        term = self._command_term(cmd)
-        ty = self.check_term({}, term, expected)
-        return ty
+        """Type a command, its context wrapped around its focus, against `expected`.
+
+        It is checked by levels (`_check_by_levels`), except an origin, a
+        command checked by a `type_log` checker and one whose check by
+        levels fails: these are checked whole, so every diagnostic and the
+        cache-free reference are the whole check's.
+        """
+        if self.type_log is None and cmd.ctx:
+            before = self.stats.dest_coercions
+            try:
+                return self._check_by_levels(cmd, expected)
+            except (TypeCheckError, _Unsynthesizable):
+                self.stats.dest_coercions = before
+        self._levels = []
+        _check_open_disjointness(cmd.ctx)
+        return self.check_term({}, _wrap_components(cmd.ctx, cmd.focus), expected)
 
     def check_evalctx(self, ctx: tuple, final_ty):
         """Type an evaluation context: returns (delta, focus type, final type).
 
-        The focus type and the destination bindings the context provides
-        are recovered by checking the context wrapped around a probe.
+        This is the down pass of a check by levels: the destination bindings
+        and the expected type that reach the context's slot.
         """
-        probe = _Probe()
-        term = _wrap_components(ctx, probe)
-        captured = {}
-        self._probe_capture = (probe, captured)
         try:
-            self.check_term({}, term, final_ty)
+            levels = self._descend(ctx, final_ty)
+        except _Unsynthesizable as e:
+            raise _err("ArityOrFormError", "cannot synthesize a type here (%s)" % e.why, e.node)
+        gamma, exp = (levels[-1].slot_gamma, levels[-1].slot_exp) if levels else ({}, final_ty)
+        if _exact(exp) is None:
+            raise _err("ArityOrFormError", "the context does not determine its focus type")
+        return {k: b for k, b in gamma.items() if isinstance(b, DestB)}, exp, final_ty
+
+    def _check_by_levels(self, cmd, expected):
+        """Check a command at the cost of what changed since the last one (see
+        the module docstring).  The walk up types each component around a
+        `_Slot` that stands for its slot's typing, and stops at the first
+        reused level whose slot typing is last time's: nothing above it
+        changed, and the destination coercions counted there are replayed.
+        """
+        levels = self._descend(cmd.ctx, expected)
+        self._levels, self._expected = [], None  # until this check succeeds
+        stats = self.stats
+        last = levels[-1]
+        typing = self.infer(last.slot_gamma, cmd.focus, last.slot_exp)
+        i, counted = len(levels) - 1, 0
+        while i >= 0:
+            lv = levels[i]
+            if lv.slot_typing == typing:
+                stats.dest_coercions += lv.coercions
+                counted, typing = lv.coercions, levels[0].typing
+                break
+            before = stats.dest_coercions
+            typing_i = self.infer(lv.gamma, lv.node(_Slot(typing)), lv.exp)
+            lv.coercions = stats.dest_coercions - before
+            lv.slot_typing, lv.typing = typing, typing_i
+            typing = typing_i
+            i -= 1
+        for lv in levels[i + 1:]:  # the levels typed again count from the outermost
+            counted = lv.coercions = counted + lv.coercions
+        ty, usage = typing
+        if usage:  # a name the command does not bind: the whole check reports it
+            raise _err("UnknownVar", "unbound name %r" % next(iter(usage)))
+        self._levels, self._expected = levels, expected
+        return ty
+
+    def _descend(self, ctx, expected) -> List["_Level"]:
+        """The levels of `ctx` typed against `expected`, down to the innermost slot.
+
+        The levels of the longest prefix that the last command checked by
+        levels shares are reused as they are; each later component is
+        typed around a `_Slot` probe that stops at its slot.  What this
+        pass counts is discarded: the walk up counts each component whole.
+        """
+        old = self._levels if expected == self._expected else []
+        j, n = 0, min(len(ctx), len(old))
+        while j < n and ctx[j] is old[j].comp:
+            j += 1
+        levels = old[:j]
+        before = self.stats.dest_coercions
+        try:
+            for i in range(j, len(ctx)):
+                comp = ctx[i]
+                up = levels[-1] if levels else None
+                names = old[i].names if i < len(old) and old[i].comp is comp else M.hnames(comp)
+                lv = _Level(comp, names, up.seen if up else frozenset())
+                lv.gamma, lv.exp = (up.slot_gamma, up.slot_exp) if up else ({}, expected)
+                try:
+                    self.infer(lv.gamma, lv.node(_Slot(None)), lv.exp)
+                except _Stopped as s:
+                    lv.slot_gamma, lv.slot_exp = s.gamma, s.exp
+                levels.append(lv)
         finally:
-            self._probe_capture = None
-        return captured.get("delta", {}), captured.get("ty"), final_ty
+            self.stats.dest_coercions = before
+        return levels
 
     # -- term inference ---------------------------------------------------------
 
@@ -734,13 +818,10 @@ class Checker:
         if isinstance(t, OpenFocus):
             return self._infer_open(gamma, t, exp)
 
-        if isinstance(t, _Probe):
-            probe, captured = self._probe_capture
-            captured["delta"] = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
-            captured["ty"] = _exact(exp)
-            if _exact(exp) is None:
-                raise _err("ArityOrFormError", "probe focus type is not determined", t)
-            return exp, {k: frozenset({b.mode}) for k, b in captured["delta"].items()}
+        if isinstance(t, _Slot):
+            if t.typing is None:
+                raise _Stopped(gamma, exp)
+            return t.typing[0], dict(t.typing[1])
 
         if isinstance(t, S.SUGAR_NODES):
             raise _err("ArityOrFormError", "sugar node reached the checker; desugar first", t)
@@ -832,14 +913,22 @@ class Checker:
         return ty, usage
 
     def _infer_open(self, gamma, t: OpenFocus, exp):
+        """The structure is typed once per node, whatever `inner` then holds;
+        a reuse replays the destination coercions that typing counted."""
         left_exp, right_exp = self._amp_parts(exp, t)
-        own = _OwnScopes([])
-        own.push(t.holes)
-        theta = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
-        lty, lu = self.infer_value(theta, t.left, left_exp, own, gamma=gamma)
-        scope = own.pop()
-        delta3 = self._resolve_own_holes(t.holes, scope, lu, t)
-        lu = {k: s for k, s in lu.items() if k not in t.holes}
+        if t.typed is None:
+            before = self.stats.dest_coercions
+            own = _OwnScopes([])
+            own.push(t.holes)
+            theta = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
+            lty, lu = self.infer_value(theta, t.left, left_exp, own, gamma=gamma)
+            scope = own.pop()
+            delta3 = self._resolve_own_holes(t.holes, scope, lu, t)
+            lu = {k: s for k, s in lu.items() if k not in t.holes}
+            t.typed = (lty, lu, delta3, self.stats.dest_coercions - before)
+        else:
+            lty, lu, delta3, coercions = t.typed
+            self.stats.dest_coercions += coercions
         g = dict(gamma)
         g.update(delta3)
         ity, iu = self.infer(g, t.inner, right_exp)
@@ -1013,33 +1102,74 @@ class Checker:
 
         raise TypeError("not a value: %r" % (v,))
 
-    # -- command support -----------------------------------------------------------
 
-    def _command_term(self, cmd):
-        return _wrap_components(cmd.ctx, cmd.focus)
+# ---------------------------------------------------------------------------
+# Commands: context components wrapped around a focus, checked whole or by levels
 
-    def _check_open_disjointness(self, cmd):
-        seen_outside = set()
-        for comp in cmd.ctx:
-            if isinstance(comp, M.OpenAmpar):
-                overlap = comp.holes & seen_outside
-                if overlap:
-                    raise _err(
-                        "DisjointnessViolation",
-                        "open ampar hole names %s collide with the enclosing context"
-                        % sorted(overlap),
-                        None, holes=overlap,
-                    )
-            hit = self._hole_names.get(id(comp))
-            if hit is None:
-                hit = self._hole_names[id(comp)] = (comp, M.hnames(comp))
-            seen_outside |= hit[1]
 
-    _probe_capture = None
+def _check_open_disjointness(ctx):
+    seen = frozenset()
+    for comp in ctx:
+        seen = _seen_through(comp, M.hnames(comp), seen)
+
+
+def _seen_through(comp, names, seen_outside):
+    """The hole names of `comp` and of the components outside it; an open
+    ampar's own names must not occur outside it."""
+    if type(comp) is M.OpenAmpar:
+        overlap = comp.holes & seen_outside
+        if overlap:
+            raise _err(
+                "DisjointnessViolation",
+                "open ampar hole names %s collide with the enclosing context" % sorted(overlap),
+                None, holes=overlap,
+            )
+    return seen_outside | names
+
+
+class _Level:
+    """What checking a command by levels learnt about one context component.
+
+    `gamma` and `exp` reach the component, `slot_gamma` and `slot_exp` its
+    slot; `slot_typing` is the (type, usage) its slot produced and `typing`
+    the one it produced from that.  `coercions` are the destination
+    coercions this component and those outside it counted around their
+    slots, and `seen` the hole names they hold.  An open ampar keeps its
+    `OpenFocus` node, which holds the typing of its structure.
+    """
+
+    __slots__ = ("comp", "names", "seen", "gamma", "exp", "slot_gamma", "slot_exp",
+                 "open", "slot_typing", "typing", "coercions")
+
+    def __init__(self, comp, names, seen_outside):
+        self.comp, self.names = comp, names
+        self.seen = _seen_through(comp, names, seen_outside)
+        self.open = OpenFocus(comp.holes, comp.left, None) if type(comp) is M.OpenAmpar else None
+        self.slot_typing = self.typing = None
+        self.coercions = 0
+
+    def node(self, term):
+        """The component's node around `term`; an open ampar's is made once."""
+        if self.open is None:
+            return _wrap(self.comp, term)
+        self.open.inner = term
+        return self.open
+
+
+class _Stopped(Exception):
+    """Raised by a `_Slot` probe: the typing context and expected type at the slot."""
+
+    def __init__(self, gamma, exp):
+        super().__init__("slot reached")
+        self.gamma, self.exp = gamma, exp
 
 
 @dataclass
-class _Probe:
+class _Slot:
+    """Internal node in a component's slot: a probe that stops there
+    (`typing` None), or the slot's known (type, usage)."""
+
+    typing: Optional[tuple]
     pos = None
 
 
@@ -1051,28 +1181,30 @@ class _Memo:
     pos = None
 
 
-# never typed from a kept entry: the checker's own nodes (a probe's capture is
-# a side effect, and the others are made anew for every check), and variables,
-# which always read their binding
-_UNKEPT = (_Probe, _Memo, OpenFocus, S.Var)
+# never typed from a kept entry: the checker's own nodes, which are made anew
+# for every check or level, and variables, which always read their binding
+_UNKEPT = (_Slot, _Memo, OpenFocus, S.Var)
 
 
-_WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap_components` made
+_WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap` made
+
+
+def _wrap(comp, term):
+    """The node of context component `comp` around `term`: a frame's node,
+    whose other term children are read through the memo, or an open ampar's
+    `OpenFocus`.  A frame's node is made anew for every pass over the
+    component and never read again, so it is marked to keep no typing."""
+    if type(comp) is M.OpenAmpar:
+        return OpenFocus(comp.holes, comp.left, term)
+    node = M.plug(comp, term, _Memo)
+    node.__dict__["_typed_"] = _WRAPPER
+    return node
 
 
 def _wrap_components(ctx, term):
-    """`term` plugged into the context ctx: each frame's node, whose other term
-    children are read through the memo, and each open ampar's `OpenFocus`.
-
-    The nodes are made anew for every check and never read again, so each is
-    marked to keep no typing.
-    """
+    """`term` plugged into the context ctx."""
     for comp in reversed(ctx):
-        if type(comp) is M.OpenAmpar:
-            term = OpenFocus(comp.holes, comp.left, term)
-        else:
-            term = M.plug(comp, term, _Memo)
-            term.__dict__["_typed_"] = _WRAPPER
+        term = _wrap(comp, term)
     return term
 
 

@@ -9,6 +9,7 @@ from destcalc import syntax as S
 from destcalc.modes import UNIT
 from destcalc.parser import _STAR_KEYWORDS, _SYMBOLS, ParseError, Token, parse, parse_type
 from destcalc.prelude import load_prelude
+from destcalc import typecheck as T
 from destcalc.typecheck import Checker, TypeEnv
 
 
@@ -135,6 +136,14 @@ def suite(env):
     return out
 
 
+def whole_check(tyenv, cmd, expected):
+    """A command checked whole, as one term, by a new checker: (type, destination coercions)."""
+    ck = Checker(tyenv)
+    T._check_open_disjointness(cmd.ctx)
+    ty = ck.check_term({}, T._wrap_components(cmd.ctx, cmd.focus), expected)
+    return ty, ck.stats.dest_coercions
+
+
 @pytest.fixture(scope="session")
 def preservation(suite):
     """Preservation over every suite trace, computed once with one new checker per
@@ -171,9 +180,9 @@ def reference_tokenize(src: str) -> List[Token]:
                 i += 1
             continue
         pos = (line, col)
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             toks.append(Token("num", src[i:j], pos))
             col += j - i

@@ -11,7 +11,7 @@ from destcalc.modes import UNIT
 from destcalc.typecheck import Checker, CheckStats, TypeEnv
 from destcalc.parser import TypeDef, parse_type
 
-from conftest import frame_of, run_ok
+from conftest import dlist_prog, frame_of, run_ok
 
 
 def _golden():
@@ -145,6 +145,69 @@ def test_preservation_fails_where_a_kept_component_breaks(suite):
     ck2 = Checker(ck.tyenv)
     assert H.check_preservation(trace, ck2, ty).ok
     assert H.check_preservation(corrupted, ck2, ty).failures == fresh.failures
+
+
+def test_checks_by_levels_retype_the_levels_above_a_changed_slot(monkeypatch):
+    ck = Checker(TypeEnv({}))
+    to_amp = frame_of(S.ToAmpar(S.Val(S.UnitV())), "inner")
+    ctx = (to_amp, to_amp)  # to* (to* [])
+    one, pair = S.TUnit(), S.TProd(S.TUnit(), S.TUnit())
+    assert ck.check_command(M.Command(ctx, S.Val(S.UnitV()))) == (
+        S.TAmpar(S.TAmpar(one, one), one))
+    # the same components, and a focus of another type: both levels are typed again
+    assert ck.check_command(M.Command(ctx, S.Val(S.PairV(S.UnitV(), S.UnitV())))) == (
+        S.TAmpar(S.TAmpar(pair, one), one))
+    # a focus of the same typing: the walk up stops at the innermost level
+    calls = []
+    infer = Checker._infer
+    monkeypatch.setattr(Checker, "_infer", lambda self, *a: calls.append(a[1]) or infer(self, *a))
+    assert ck.check_command(M.Command(ctx, S.Val(S.PairV(S.UnitV(), S.UnitV())))) == (
+        S.TAmpar(S.TAmpar(pair, one), one))
+    assert [type(t) for t in calls] == [S.Val]
+
+
+def test_a_corrupted_command_fails_as_its_whole_check_does(suite):
+    # a chain built on the clean commands before the corrupted one, then a focus
+    # that no longer types, and an open ampar whose structure no longer types
+    ck, ty, trace = suite["dlist"]
+    steps = list(trace.steps)
+    k = next(i for i, (_, cmd) in enumerate(steps)
+             if len(cmd.ctx) > 3 and any(isinstance(e, M.OpenAmpar) for e in cmd.ctx))
+    rule, cmd = steps[k]
+    opened = next(j for j, e in enumerate(cmd.ctx) if isinstance(e, M.OpenAmpar))
+    broken_ctx = list(cmd.ctx)
+    broken_ctx[opened] = M.OpenAmpar(cmd.ctx[opened].holes, S.PairV(S.UnitV(), S.UnitV()))
+    for bad in (M.Command(cmd.ctx, S.Var("nowhere")), M.Command(tuple(broken_ctx), cmd.focus)):
+        corrupted = M.Trace(trace.origin, steps[:k] + [(rule, bad)] + steps[k + 1:])
+        fresh = H.check_preservation(corrupted, _FreshPerCommand(ck.tyenv), ty)
+        assert not fresh.ok and fresh.failures[0][0] == k + 1
+        shared = Checker(ck.tyenv)
+        assert H.check_preservation(corrupted, shared, ty).failures == fresh.failures
+        # and the same checker, after a clean pass over the whole trace
+        assert H.check_preservation(trace, shared, ty).ok
+        assert H.check_preservation(corrupted, shared, ty).failures == fresh.failures
+
+
+def test_preservation_infers_linearly_in_the_steps(env, monkeypatch):
+    # `_infer` calls of the preservation pass over dlist k = 16, 32, 64
+    calls = [0]
+    infer = Checker._infer
+
+    def counted(self, *args):
+        calls[0] += 1
+        return infer(self, *args)
+
+    monkeypatch.setattr(Checker, "_infer", counted)
+    counts = []
+    for k in (16, 32, 64):
+        term = dlist_prog(env, k)
+        ty = Checker(env.tyenv).check_command(M.Command((), term))
+        trace = M.run_term(term, 10**6).trace
+        list(trace.steps)
+        before = calls[0]
+        assert H.check_preservation(trace, Checker(env.tyenv), ty).ok
+        counts.append(calls[0] - before)
+    assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def _per_command_balance(tr):

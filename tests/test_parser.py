@@ -9,9 +9,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from destcalc import cli
 from destcalc import syntax as S
 from destcalc.modes import INF, Mode, UNIT
-from destcalc.parser import _OTHER_DIGITS, ParseError, parse, parse_term, parse_type, tokenize
+from destcalc.parser import ParseError, parse, parse_term, parse_type, tokenize
 from destcalc.prelude import prelude_path
 from destcalc.printer import print_mode, print_term, print_type
 
@@ -198,8 +199,20 @@ def test_tokenizer_matches_the_character_loop():
         parse("def x : Nat = -- no body")
 
 
-def test_digit_class_is_isdigit():
-    # the tokenizer's number class, against `str.isdigit` on every code point
+def test_numeric_characters_beyond_decimal_digits_are_no_token(capsys, tmp_path):
+    # a number is a run of decimal digits; every other character `str.isdigit`
+    # accepts (superscripts, circled digits, ...) is the ordinary token error,
+    # alone, after a digit and as a mode age
     every = "".join(map(chr, range(sys.maxunicode + 1)))
-    digits = re.findall(r"[\d" + _OTHER_DIGITS + "]", every)
-    assert "".join(digits) == "".join(filter(str.isdigit, every))
+    others = [c for c in every if c.isdigit() and not re.fullmatch(r"\d", c)]
+    assert len(others) == 128 and not any(c.isdecimal() for c in others)
+    for c in others:
+        for src, col in (("def x : Nat = %s", 15), ("def x : Nat = 1%s", 16),
+                         ("def x : 1 -o[1 ^%s] 1 = 0", 17)):
+            with pytest.raises(ParseError) as e:
+                parse(src % c)
+            assert (e.value.position, e.value.expected) == ((1, col), "a token (found %r)" % c)
+    f = tmp_path / "sup.ld"
+    f.write_text("def x : Nat = \u00b2\nmain = x\n", encoding="utf-8")
+    assert cli.main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == "parse error: parse error at 1:15: expected a token (found '\u00b2')\n"

@@ -17,8 +17,9 @@ from destcalc.cli import print_command
 from destcalc.modes import ONE_INF, UNIT
 from destcalc.prelude import _read, load_source
 from destcalc.printer import print_value
+from destcalc.typecheck import Checker
 
-from conftest import app_chain, dlist_prog, plain_fv, plain_hmax, suite_programs
+from conftest import app_chain, dlist_prog, plain_fv, plain_hmax, suite_programs, whole_check
 
 PINNED = {
     "golden": "f63d555da4413942889322de959244c9ee5a0605760dc0984878a22d47de8e26",
@@ -84,6 +85,20 @@ def test_shared_runnables_trace_the_same_again(env, programs, name):
     env.checker().check_command(M.Command((), again))
     assert trace_digest(again) == PINNED[name]
     assert trace_digest(programs[name]) == PINNED[name]
+
+
+def test_checks_by_levels_match_whole_checks(env, programs):
+    # one checker over each pinned trace, reusing what it learnt from command to
+    # command, against every command checked whole by a new checker
+    expected = {name: ty for name, (_, ty) in suite_programs(env).items()}
+    for name, term in sorted(programs.items()):
+        ty = env.checker().check_command(M.Command((), term), expected.get(name))
+        shared = Checker(env.tyenv)
+        for i, (_, cmd) in enumerate(M.run_term(term, 10**6).trace.steps, start=1):
+            before = shared.stats.dest_coercions
+            got = shared.check_command(cmd, ty)
+            assert (got, shared.stats.dest_coercions - before) == whole_check(env.tyenv, cmd, ty), (
+                name, i)
 
 
 def test_print_command_reuses_component_strings(programs, monkeypatch):
