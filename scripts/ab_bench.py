@@ -10,9 +10,13 @@ with the order alternating from seed to seed: untraced runs of the length
 BENCHMARK.json sets, the same on both sides.  For each workload and end-to-end
 metric the output keeps both sides' values, medians
 and quartiles, the ratio of the medians, the pairs the change wins (by the
-metric's direction in BENCHMARK.json), and whether the gap between the
-medians exceeds the parent's interquartile range.  One traced run per side on
-the first seed adds each side's per-layer breakdown.
+metric's direction in BENCHMARK.json), whether the gap between the
+medians exceeds the parent's interquartile range, and whether the change's
+median is worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json (`regressed`).  Each workload also records whether the change
+failed a larger share of its requests (`failed_share_rose`).  Every regressed
+metric and every risen failed share is printed as a `REGRESSED` line.  One
+traced run per side on the first seed adds each side's per-layer breakdown.
 """
 
 import argparse
@@ -54,10 +58,11 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
-def compare(parent_runs, change_runs, better):
-    """Per end-to-end metric: both sides' values and summary, pair wins, the verdict."""
+def compare(parent_runs, change_runs, spec):
+    """Per end-to-end metric: both sides' values and summary, pair wins, the verdicts."""
     out = {}
-    for name, direction in better.items():
+    for m in spec["end_to_end"]:
+        name, direction, bound = m["name"], m["better"], m["bound"]
         p = [r["metrics"][name]["value"] for r in parent_runs]
         c = [r["metrics"][name]["value"] for r in change_runs]
         sign = 1 if direction == "lower" else -1
@@ -72,12 +77,13 @@ def compare(parent_runs, change_runs, better):
             "pair_wins": sum(sign * (y - x) < 0 for x, y in zip(p, c)),
             "pairs": len(p),
             "gap_exceeds_parent_iqr": sign * (pmed - cmed) > pq3 - pq1,
+            "bound": bound,
+            "regressed": sign * (cmed - pmed) > bound * abs(pmed),
         }
     return out
 
 
 def bench(parent_tree, args, spec):
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     sides = {"parent": parent_tree, "change": ROOT}
     doc = {"parent": git("rev-parse", args.parent), "change": "working tree on " + git("rev-parse", "HEAD"),
@@ -93,11 +99,15 @@ def bench(parent_tree, args, spec):
             row = {s: round(runs[s][-1]["metrics"]["wall_s"]["value"], 4) for s in runs}
             print(workload, seed, row, flush=True)
         traced = {s: one_run(sides[s], workload, args.seeds[0], seconds, 1) for s in sides}
+        attempted = {s: sum(r["attempted"] for r in runs[s]) for s in runs}
+        failed = {s: sum(r["failed"] for r in runs[s]) for s in runs}
+        share = {s: failed[s] / attempted[s] for s in runs}
         doc["workloads"][workload] = {
-            "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
-            "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+            "attempted": attempted,
+            "failed": failed,
+            "failed_share_rose": share["change"] > share["parent"],
             "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
-            "end_to_end": compare(runs["parent"], runs["change"], better),
+            "end_to_end": compare(runs["parent"], runs["change"], spec),
             "per_layer_seed%d" % args.seeds[0]: {
                 s: {k: v["value"] for k, v in traced[s]["metrics"].items()} for s in traced},
         }
@@ -105,6 +115,15 @@ def bench(parent_tree, args, spec):
             print("  %-24s %.5g -> %.5g  wins %d/%d  gap>IQR %s" % (
                 name, m["parent"]["median"], m["change"]["median"], m["pair_wins"], m["pairs"],
                 m["gap_exceeds_parent_iqr"]), flush=True)
+    for workload, w in doc["workloads"].items():
+        for name, m in w["end_to_end"].items():
+            if m["regressed"]:
+                print("REGRESSED %s %s: %.5g -> %.5g, worse by more than its bound %g" % (
+                    workload, name, m["parent"]["median"], m["change"]["median"], m["bound"]))
+        if w["failed_share_rose"]:
+            print("REGRESSED %s failed share: %d of %d -> %d of %d" % (
+                workload, w["failed"]["parent"], w["attempted"]["parent"],
+                w["failed"]["change"], w["attempted"]["change"]))
     return doc
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: check, run, trace, desugar over `.ld` files.
 
-Exit codes: 0 success, 1 type error, 2 parse error, 3 stuck, 4 fuel
-exhausted, 5 harness verdict failure, 70 internal error (an exception
-escaped; printed as one `internal error: ...` line on stderr).
+Exit codes: 0 success, 1 type error (also a program with no main, or a
+main that names no definition), 2 parse error (also a file that cannot be
+read: missing, a directory or not UTF-8, printed as one
+`error: cannot read FILE: REASON` line), 3 stuck, 4 fuel exhausted,
+5 harness verdict failure, 70 internal error (an exception escaped;
+printed as one `internal error: ...` line on stderr).
 """
 
 from __future__ import annotations
@@ -68,13 +71,6 @@ def print_command(cmd: M.Command, shown=None) -> str:
     return "(%s)[%s]" % (" o ".join(parts), print_term(cmd.focus, 0))
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        src = fh.read()
-    env = P.load_prelude()
-    return P.load_source(src, base=env)
-
-
 def _decoded(value, main_ty, env) -> str:
     """Decode Nat/Bool/List-of-Nat results; print raw values otherwise."""
     ty = main_ty
@@ -117,12 +113,24 @@ def main(argv=None) -> int:
 
 def _main(args) -> int:
     try:
-        env = _load(args.file)
+        with open(args.file, "r", encoding="utf-8") as fh:
+            src = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        print("error: cannot read %s: %s" % (args.file, reason), file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        env = P.load_source(src, base=P.load_prelude())
     except ParseError as e:
         print("parse error: %s" % e, file=sys.stderr)
         return EXIT_PARSE
     except TypeCheckError as e:
         print("type error [%s]: %s" % (e.kind, e), file=sys.stderr)
+        return EXIT_TYPE
+
+    if env.main is not None and env.main not in env.defs:
+        print("error: %s: main names %s, which is not defined" % (args.file, env.main),
+              file=sys.stderr)
         return EXIT_TYPE
 
     if args.command == "check":

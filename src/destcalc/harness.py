@@ -84,85 +84,53 @@ def check_progress_determinism(tr: M.Trace) -> Verdict:
 
 
 def _count_occ(x, h: int, kind, problems=None) -> int:
-    """Occurrences of hole/dest named h, not descending under a binder for h.
+    """Occurrences of hole/dest named h in a value or term, not descending under a binder for h.
 
     The two arms of a sum case are alternatives: exactly one will run, so
     they must mention the name equally often, and count once jointly.
     """
-    if isinstance(x, kind) and x.hole == h:
-        return 1
-    if isinstance(x, (S.HoleV, S.DestV, S.UnitV)) or M.hmax_value(x) < h:
-        return 0
-    if isinstance(x, S.AmparV):
-        if h in x.holes:
+
+    def enter(y, _):
+        t = type(y)
+        if t is kind and y.hole == h:
+            return 1
+        if t is S.HoleV or t is S.DestV or t is S.UnitV or M.hmax_value(y) < h:
+            return 0  # no name as large as h: no occurrence, no uneven case
+        if t is S.AmparV and h in y.holes:
             return 0
-        return _count_occ(x.left, h, kind, problems) + _count_occ(x.right, h, kind, problems)
-    if isinstance(x, (S.InlV, S.InrV, S.ModV)):
-        return _count_occ(x.value, h, kind, problems)
-    if isinstance(x, S.PairV):
-        return _count_occ(x.fst, h, kind, problems) + _count_occ(x.snd, h, kind, problems)
-    if isinstance(x, S.LamV):
-        return _count_occ_term(x.body, h, kind, problems)
-    raise TypeError(x)
+        return S.DESCEND
 
-
-def _count_occ_term(t, h: int, kind, problems=None) -> int:
-    if M.hmax_term(t) < h:  # no name as large as h: no occurrence, no uneven case
-        return 0
-    if isinstance(t, S.Val):
-        return _count_occ(t.value, h, kind, problems)
-    if isinstance(t, S.CaseSum):
-        n = _count_occ_term(t.scrut, h, kind, problems)
-        l = _count_occ_term(t.left_body, h, kind, problems)
-        r = _count_occ_term(t.right_body, h, kind, problems)
+    def leave(y, counts):
+        if type(y) is not S.CaseSum:
+            return sum(counts)
+        n, l, r = counts
         if l != r and problems is not None:
-            problems.append(
-                "case branches mention name %d unevenly (%d vs %d)" % (h, l, r)
-            )
+            problems.append("case branches mention name %d unevenly (%d vs %d)" % (h, l, r))
         return n + max(l, r)
-    n = 0
-    for f in S.field_names(type(t)):
-        v = getattr(t, f)
-        if isinstance(v, S._TERM_TYPES):
-            n += _count_occ_term(v, h, kind, problems)
-    return n
+
+    return S.walk(x, enter, leave)
 
 
-def _scan_value_balance(v, failures, where):
-    if M.hmax_value(v) == 0:  # names start at 1, so there is no binder below
-        return
-    if isinstance(v, S.AmparV):
-        probs: List[str] = []
-        for h in v.holes:
-            holes = _count_occ(v.left, h, S.HoleV, probs) + _count_occ(v.right, h, S.HoleV, probs)
-            dests = _count_occ(v.left, h, S.DestV, probs) + _count_occ(v.right, h, S.DestV, probs)
-            if holes != 1 or dests != 1:
-                failures.append(
-                    (0, "%s: ampar name %d has %d hole(s) and %d destination(s)"
-                     % (where, h, holes, dests))
-                )
-        failures.extend((0, "%s: %s" % (where, p)) for p in probs)
-        _scan_value_balance(v.left, failures, where)
-        _scan_value_balance(v.right, failures, where)
-    elif isinstance(v, (S.InlV, S.InrV, S.ModV)):
-        _scan_value_balance(v.value, failures, where)
-    elif isinstance(v, S.PairV):
-        _scan_value_balance(v.fst, failures, where)
-        _scan_value_balance(v.snd, failures, where)
-    elif isinstance(v, S.LamV):
-        _scan_term_balance(v.body, failures, where)
+def _scan_balance(x, failures, where):
+    """The failures of every ampar binder in a value or term."""
 
+    def enter(v, _):
+        if M.hmax_value(v) == 0:  # names start at 1, so there is no binder below
+            return None
+        if type(v) is S.AmparV:
+            probs: List[str] = []
+            for h in v.holes:
+                holes, dests = (sum(_count_occ(k, h, kind, probs) for k in (v.left, v.right))
+                                for kind in (S.HoleV, S.DestV))
+                if holes != 1 or dests != 1:
+                    failures.append(
+                        (0, "%s: ampar name %d has %d hole(s) and %d destination(s)"
+                         % (where, h, holes, dests))
+                    )
+            failures.extend((0, "%s: %s" % (where, p)) for p in probs)
+        return S.DESCEND
 
-def _scan_term_balance(t, failures, where):
-    if M.hmax_term(t) == 0:
-        return
-    if isinstance(t, S.Val):
-        _scan_value_balance(t.value, failures, where)
-        return
-    for f in S.field_names(type(t)):
-        v = getattr(t, f)
-        if isinstance(v, S._TERM_TYPES):
-            _scan_term_balance(v, failures, where)
+    S.walk(x, enter)
 
 
 _NO_NAMES = S.Val(S.UnitV())  # what a frame's slot holds while it is scanned
@@ -187,10 +155,10 @@ class _Facts:
             for h in e.holes:
                 probs: List[str] = []
                 self.holes.append((h, _count_occ(e.left, h, S.HoleV, probs), probs))
-            _scan_value_balance(e.left, self.own, "open ampar structure")
+            _scan_balance(e.left, self.own, "open ampar structure")
         else:
             self.node = M.plug(e, _NO_NAMES)
-            _scan_term_balance(self.node, self.own, "component")
+            _scan_balance(self.node, self.own, "component")
 
     def count(self, h: int, kind, problems: List[str]) -> int:
         if h not in self.names:  # then there is nothing to count, and no uneven case
@@ -201,7 +169,7 @@ class _Facts:
             if self.node is None:  # an open ampar; its own binder scope is handled separately
                 n = _count_occ(self.comp.left, h, kind, probs) if h not in self.comp.holes else 0
             else:
-                n = _count_occ_term(self.node, h, kind, probs)
+                n = _count_occ(self.node, h, kind, probs)
             hit = self.counts[h, kind] = (n, probs)
         problems.extend(hit[1])
         return hit[0]
@@ -223,7 +191,7 @@ def _scan(cmd: M.Command, memo: dict) -> List[Tuple[int, str]]:
             problems.extend(probs)
             counts = []
             for kind in (S.DestV, S.HoleV):
-                n = _count_occ_term(cmd.focus, h, kind, problems)
+                n = _count_occ(cmd.focus, h, kind, problems)
                 for f2 in facts[i + 1 :]:
                     n += f2.count(h, kind, problems)
                 counts.append(n)
@@ -234,7 +202,7 @@ def _scan(cmd: M.Command, memo: dict) -> List[Tuple[int, str]]:
                      % (h, holes, dests, stray))
                 )
         failures.extend(f.own)
-    _scan_term_balance(cmd.focus, failures, "focus")
+    _scan_balance(cmd.focus, failures, "focus")
     failures.extend((0, p) for p in problems)
     return failures
 

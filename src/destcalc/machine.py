@@ -26,12 +26,15 @@ someone reads `trace.steps`, by stepping again from the origin.  Classic
 ampar it built reads its `left` from its cells on first access.  A
 substitution rebuilds the nodes on the paths to its variable only, and
 stores on each the free variables and the largest hole name that later
-steps read.
+steps read.  The hole-name walks (names, shifts, cells of a structure,
+canonical renaming) are visitors on `syntax.walk`, which keeps its own
+stack, so deep values and terms do not exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -147,59 +150,37 @@ def hnames(x) -> set:
     if isinstance(x, tuple):
         return set().union(*map(hnames, x))
     out = set()
+
+    def enter(node, _):
+        t = type(node)
+        if t is S.HoleV or t is S.DestV:
+            out.add(node.hole)
+        elif t is S.AmparV:
+            out.update(node.holes)
+        elif t not in S._VALUE_TYPES and hmax_term(node) == 0:  # names start at 1
+            return None
+        return S.DESCEND
+
     if type(x) is Frame:
         for k in x.kids():
-            _hn_term(k, out)
+            S.walk(k, enter)
     elif type(x) is OpenAmpar:
-        out |= x.holes
-        _hn_value(x.left, out)
-    elif isinstance(x, S._VALUE_TYPES):
-        _hn_value(x, out)
+        out.update(x.holes)
+        S.walk(x.left, enter)
     else:
-        _hn_term(x, out)
+        S.walk(x, enter)
     return out
-
-
-def _hn_value(v, out: set):
-    if isinstance(v, (S.HoleV, S.DestV)):
-        out.add(v.hole)
-    elif isinstance(v, S.AmparV):
-        out |= v.holes
-        _hn_value(v.left, out)
-        _hn_value(v.right, out)
-    elif isinstance(v, (S.InlV, S.InrV, S.ModV)):
-        _hn_value(v.value, out)
-    elif isinstance(v, S.PairV):
-        _hn_value(v.fst, out)
-        _hn_value(v.snd, out)
-    elif isinstance(v, S.LamV):
-        _hn_term(v.body, out)
-
-
-def _hn_term(t, out: set):
-    if hmax_term(t) == 0:  # names start at 1: the term holds none
-        return
-    if isinstance(t, S.Val):
-        _hn_value(t.value, out)
-        return
-    for f in S.field_names(type(t)):
-        v = getattr(t, f)
-        if isinstance(v, S._TERM_TYPES):
-            _hn_term(v, out)
 
 
 def hmax_value(x) -> int:
     """The largest hole name in a value or term, 0 if none; kept on each node as `_hmax`.
 
     The walk keeps its own stack, so deep values and terms cannot exhaust
-    Python's recursion limit.
+    Python's recursion limit.  It reads the children `syntax.parts` lists,
+    but not the structure of an ampar the machine keeps in cells.
     """
     m = x.__dict__.get("_hmax")
     if m is not None:
-        return m
-    m, kids = _hmax_parts(x)
-    if not kids:
-        x.__dict__["_hmax"] = m
         return m
     stack = [x]
     while stack:
@@ -208,7 +189,17 @@ def hmax_value(x) -> int:
         if "_hmax" in d:
             stack.pop()
             continue
-        own, kids = _hmax_parts(node)
+        t = type(node)
+        if t is S.HoleV or t is S.DestV:
+            d["_hmax"] = node.hole
+            stack.pop()
+            continue
+        shape = d.get("_shape")
+        if shape is not None:  # an ampar whose structure is in cells: do not read `left`
+            own, kids = max(max(node.holes, default=0), shape.static), (node.right,)
+        else:
+            binds, kids = S.parts(node)
+            own = max(binds) if binds else 0
         todo = [k for k in kids if "_hmax" not in k.__dict__]
         if todo:
             stack.extend(todo)
@@ -225,30 +216,6 @@ def hmax_value(x) -> int:
 hmax_term = hmax_value  # one walk serves values and terms
 
 
-def _hmax_parts(x):
-    """(the largest name `x` holds itself, its value and term children)."""
-    t = type(x)
-    if t is S.HoleV or t is S.DestV:
-        return x.hole, ()
-    if t is S.AmparV:
-        own = max(x.holes, default=0)
-        shape = x.__dict__.get("_shape")
-        if shape is not None:  # its structure is in cells: do not read `left`
-            return max(own, shape.static), (x.right,)
-        return own, (x.left, x.right)
-    if t is S.InlV or t is S.InrV or t is S.ModV or t is S.Val:
-        return 0, (x.value,)
-    if t is S.PairV:
-        return 0, (x.fst, x.snd)
-    if t is S.LamV:
-        return 0, (x.body,)
-    if t is S.UnitV:
-        return 0, ()
-    get, kids = S.layout(t)
-    fields = get(x)
-    return 0, tuple(fields[i] for i, _ in kids)
-
-
 # ---------------------------------------------------------------------------
 # Shifts and substitutions
 
@@ -261,41 +228,17 @@ def cond_shift(x, holes, d: int):
     """
     if d == 0 or not holes:
         return x
-    if isinstance(x, S._VALUE_TYPES):
-        return _shift_value(x, holes, d)
-    return _shift_term(x, holes, d)
 
+    def enter(node, bound):
+        t = type(node)
+        if t is S.HoleV or t is S.DestV:
+            h = node.hole
+            return t(h + d) if h in holes and h not in bound else node
+        if t is S.AmparV and holes <= bound | node.holes:
+            return node
+        return S.DESCEND
 
-def _shift_value(v, holes, d):
-    if isinstance(v, (S.HoleV, S.DestV)):
-        if v.hole in holes:
-            return type(v)(v.hole + d)
-        return v
-    if isinstance(v, S.AmparV):
-        inner = holes - v.holes
-        if not inner:
-            return v
-        return S.AmparV(v.holes, _shift_value(v.left, inner, d), _shift_value(v.right, inner, d))
-    if isinstance(v, S.UnitV):
-        return v
-    if isinstance(v, (S.InlV, S.InrV)):
-        return type(v)(_shift_value(v.value, holes, d))
-    if isinstance(v, S.ModV):
-        return S.ModV(v.mode, _shift_value(v.value, holes, d))
-    if isinstance(v, S.PairV):
-        return S.PairV(_shift_value(v.fst, holes, d), _shift_value(v.snd, holes, d))
-    if isinstance(v, S.LamV):
-        out = S.LamV(v.var, v.mode, _shift_term(v.body, holes, d))
-        out.param_ty_ = v.param_ty_
-        return out
-    raise TypeError(v)
-
-
-def _shift_term(t, holes, d):
-    if isinstance(t, S.Val):
-        nv = _shift_value(t.value, holes, d)
-        return t if nv is t.value else S.Val(nv, pos=t.pos)
-    return S.rebuild(t, lambda c: _shift_term(c, holes, d))
+    return S.walk(x, enter, S.remade)
 
 
 _NO_VARS = frozenset()
@@ -475,26 +418,27 @@ def _cells_of(left, holes):
         static = max(static, hmax_value(v))
         return Cell(v)
 
-    def conv(v):  # a cell when v contains a hole of `holes`, else None
+    def enter(v, _):  # a cell when v contains a hole of `holes`, else None
         t = type(v)
         if t is S.HoleV and v.hole in holes:
             if v.hole in cells:
                 raise HoleNotFound(v.hole)
             cell = cells[v.hole] = Cell()
             return cell
-        if t is S.InlV or t is S.InrV or t is S.ModV:
-            c = conv(v.value)
-            if c is None:
-                return None
-            return Cell(S.ModV(v.mode, c) if t is S.ModV else t(c))
-        if t is S.PairV:
-            a, b = conv(v.fst), conv(v.snd)
-            if a is None and b is None:
-                return None
-            return Cell(S.PairV(a or leaf(v.fst), b or leaf(v.snd)))
+        if t is S.InlV or t is S.InrV or t is S.ModV or t is S.PairV:
+            return S.DESCEND
         return None
 
-    root = conv(left) if holes else None
+    def leave(v, kids):
+        if kids[-1] is None and kids[0] is None:
+            return None
+        t = type(v)
+        if t is S.PairV:
+            a, b = kids
+            return Cell(S.PairV(a or leaf(v.fst), b or leaf(v.snd)))
+        return Cell(S.ModV(v.mode, kids[0]) if t is S.ModV else t(kids[0]))
+
+    root = S.walk(left, enter, leave) if holes else None
     if root is None:
         root = leaf(left)
     if len(cells) != len(holes):
@@ -1036,54 +980,48 @@ def run_term(t, fuel: int = 10**6):
 # Canonical renaming of bound hole names (for name-insensitive equality)
 
 
+def _met(x, names=None) -> dict:
+    """The names (of `names`, or all) occurring in x outside the ampars that bind
+    them, in the order first met."""
+    met = {}
+
+    def enter(y, bound):
+        t = type(y)
+        if t is S.HoleV or t is S.DestV:
+            if y.hole not in bound and (names is None or y.hole in names):
+                met[y.hole] = None
+        return S.DESCEND
+
+    S.walk(x, enter)
+    return met
+
+
 def canonicalize(v):
-    counter = [0]
+    """`v` with the names each ampar binds renamed 1, 2, ..., skipping the names free in `v`.
 
-    def fresh():
-        counter[0] += 1
-        return counter[0]
+    An ampar's names are numbered before those of the ampars inside it, by
+    their first occurrence in its structure, then in its right value, lambda
+    bodies included; names that do not occur come last, in ascending order.
+    """
+    free = _met(v)
+    fresh = (n for n in itertools.count(1) if n not in free)
+    envs = [{}]  # name -> new name, one map per ampar on the way down
 
-    def order_of(vs, targets, acc, shadow):
-        # first-occurrence order of target names, left-to-right
-        if isinstance(vs, (S.HoleV, S.DestV)):
-            if vs.hole in targets and vs.hole not in shadow and vs.hole not in acc:
-                acc.append(vs.hole)
-        elif isinstance(vs, S.AmparV):
-            inner_shadow = shadow | (vs.holes & targets)
-            order_of(vs.left, targets, acc, inner_shadow)
-            order_of(vs.right, targets, acc, inner_shadow)
-        elif isinstance(vs, (S.InlV, S.InrV, S.ModV)):
-            order_of(vs.value, targets, acc, shadow)
-        elif isinstance(vs, S.PairV):
-            order_of(vs.fst, targets, acc, shadow)
-            order_of(vs.snd, targets, acc, shadow)
+    def enter(x, _):
+        t = type(x)
+        if t is S.HoleV or t is S.DestV:
+            return t(envs[-1].get(x.hole, x.hole))
+        if t is S.AmparV:
+            met = _met(x.left, x.holes)
+            met.update(_met(x.right, x.holes))
+            met.update((h, None) for h in sorted(x.holes))
+            envs.append({**envs[-1], **{h: next(fresh) for h in met}})
+        return S.DESCEND
 
-    def walk(v, env):
-        if isinstance(v, (S.HoleV, S.DestV)):
-            return type(v)(env.get(v.hole, v.hole))
-        if isinstance(v, S.UnitV):
-            return v
-        if isinstance(v, (S.InlV, S.InrV)):
-            return type(v)(walk(v.value, env))
-        if isinstance(v, S.ModV):
-            return S.ModV(v.mode, walk(v.value, env))
-        if isinstance(v, S.PairV):
-            return S.PairV(walk(v.fst, env), walk(v.snd, env))
-        if isinstance(v, S.LamV):
-            return v
-        if isinstance(v, S.AmparV):
-            acc: List[int] = []
-            order_of(v.left, v.holes, acc, set())
-            order_of(v.right, v.holes, acc, set())
-            for h in sorted(v.holes):
-                if h not in acc:
-                    acc.append(h)
-            env2 = dict(env)
-            for h in acc:
-                env2[h] = fresh()
-            return S.AmparV(
-                frozenset(env2[h] for h in v.holes), walk(v.left, env2), walk(v.right, env2)
-            )
-        raise TypeError(v)
+    def leave(x, kids):
+        if type(x) is S.AmparV:
+            env = envs.pop()
+            return S.AmparV(frozenset(env[h] for h in x.holes), *kids)
+        return S.remade(x, kids)
 
-    return walk(v, {})
+    return S.walk(v, enter, leave)

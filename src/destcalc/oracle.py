@@ -252,17 +252,10 @@ class _Search:
 def _universe_for(t) -> Tuple[Mode, ...]:
     # ages that can appear in any derivation: one step per scaling site,
     # plus whatever the annotations mention
-    sites = 0
     max_ann = S.max_age_exponent(t)
-
-    def walk(node):
-        nonlocal sites
-        if isinstance(node, (S.FillLeaf, S.FillComp, S.FillFun, S.UpdWith)):
-            sites += 1
-        for c in S._children(node):
-            walk(c)
-
-    walk(t)
+    scaling = (S.FillLeaf, S.FillComp, S.FillFun, S.UpdWith)
+    sites = S.walk(t, lambda node, _: 0 if type(node) is S.Val else S.DESCEND,
+                   lambda node, kids: sum(kids) + isinstance(node, scaling))
     bound = sites * (1 + max_ann) + max_ann + 1
     ages = list(range(bound + 1)) + [INF]
     return tuple(Mode(p, a) for p in (ONE, MANY) for a in ages)

@@ -403,20 +403,6 @@ class FreshNames:
         return "%s%d" % (self.prefix, self.count)
 
 
-_FIELD_CACHE = {}
-
-
-def field_names(cls):
-    """Data-field names of a node class, caches and positions excluded."""
-    names = _FIELD_CACHE.get(cls)
-    if names is None:
-        names = tuple(
-            f.name for f in dataclasses.fields(cls) if f.name != "pos" and not f.name.endswith("_")
-        )
-        _FIELD_CACHE[cls] = names
-    return names
-
-
 _TERM_TYPES = (
     Var, App, Seq, CaseSum, CasePair, CaseBang, UpdWith, ToAmpar, FromAmpar,
     FromAmparPrime, NewAmpar, FillUnit, FillInl, FillInr, FillPair, FillBang,
@@ -508,63 +494,139 @@ def map_free_vars(t, fn, bound=frozenset()):
     return cls(*args) if changed else t
 
 
-def _is_term(v) -> bool:
-    return isinstance(v, _TERM_TYPES)
+# ---------------------------------------------------------------------------
+# One walk over values and terms
+
+_NO_NAMES = frozenset()
+_TERM_KIDS = {}  # term node class -> a function giving a node's term children as a tuple
 
 
-def _children(t) -> list:
-    get, kids = layout(type(t))
-    fields = get(t)
-    return [fields[i] for i, _ in kids]
+def _term_kids(cls):
+    names = [field_order(cls)[i] for i, _ in layout(cls)[1]]
+    if len(names) != 1:
+        get = operator.attrgetter(*names) if names else lambda x: ()
+    else:  # attrgetter of a single name returns the child, not a tuple
+        one = operator.attrgetter(names[0])
+
+        def get(x):
+            return (one(x),)
+
+    _TERM_KIDS[cls] = get
+    return get
+
+
+def parts(x):
+    """(the hole names `x` binds over its children, its value and term children in order).
+
+    The one statement of what a value node holds and of the names an ampar
+    binds; a term node's children are its term fields (`layout`), a `Val`'s
+    its value.
+    """
+    t = type(x)
+    if t is PairV:
+        return _NO_NAMES, (x.fst, x.snd)
+    if t is InlV or t is InrV or t is ModV or t is Val:
+        return _NO_NAMES, (x.value,)
+    if t is AmparV:
+        return x.holes, (x.left, x.right)
+    if t is LamV:
+        return _NO_NAMES, (x.body,)
+    if t is HoleV or t is DestV or t is UnitV:
+        return _NO_NAMES, ()
+    return _NO_NAMES, (_TERM_KIDS.get(t) or _term_kids(t))(x)
+
+
+DESCEND = object()  # what a `walk` visitor returns to go into a node's children
+
+
+def walk(x, enter, leave=None):
+    """Visit a value or term depth first, left to right, on a stack of its own.
+
+    `enter(node, bound)` is called on each node reached, where `bound` holds
+    the hole names the ampars on the way down bind.  It returns DESCEND to
+    visit the node's children next; anything else is the node's result, and
+    its children are skipped.  With `leave`, `leave(node, results)` is called
+    once the children of a node entered with DESCEND are done, with their
+    results in order, and gives the node's result; `walk` returns the
+    result of `x`.
+    """
+    r = enter(x, _NO_NAMES)
+    if r is not DESCEND:  # most walks end at their root: build no stack for them
+        return r
+    stack, out = [], []
+    node, bound = x, _NO_NAMES
+    while True:  # `node` was entered with DESCEND: its children come next
+        binds, kids = parts(node)
+        if binds:
+            bound = bound | binds
+        if leave is not None:
+            stack.append((node, len(kids)))
+        for k in reversed(kids):
+            stack.append((k, bound))
+        while True:  # up to the next node entered with DESCEND
+            if not stack:
+                return out[0] if leave is not None else None
+            node, bound = stack.pop()
+            if type(bound) is int:  # a node whose `bound` children are done
+                n = len(out) - bound
+                out[n:] = [leave(node, out[n:])]
+                continue
+            r = enter(node, bound)
+            if r is DESCEND:
+                break
+            out.append(r)
+
+
+def remade(x, kids):
+    """`x` with its children (as `parts` lists them) replaced by `kids`; `x`
+    itself when each is the child it had."""
+    old = parts(x)[1]
+    if all(map(operator.is_, kids, old)):
+        return x
+    # `parts` lists the children in field order, and no other field holds a node
+    args, j = list(layout(type(x))[0](x)), 0
+    for i, f in enumerate(args):
+        if j < len(old) and f is old[j]:
+            args[i], j = kids[j], j + 1
+    return type(x)(*args)
 
 
 def term_size(t) -> int:
     """Number of term nodes (values count 1; sugar counts pre-expansion)."""
-    n = 1
-    for c in _children(t):
-        n += term_size(c)
-    return n
+    return walk(t, lambda x, _: 1 if type(x) is Val else DESCEND, lambda _, kids: 1 + sum(kids))
+
+
+_TYPE_TYPES = (TUnit, TSum, TProd, TBang, TArrow, TDest, TAmpar, TNamed)
 
 
 def max_age_exponent(t) -> int:
     """Largest finite age exponent in any mode annotation of the term."""
+    found = []  # the modes and types of the term's nodes, stamps aside
+
+    def enter(node, _):
+        if type(node) is Val:
+            return None
+        fields = zip(field_order(type(node)), layout(type(node))[0](node))
+        found.extend(v for n, v in fields
+                     if isinstance(v, (Mode,) + _TYPE_TYPES) and not n.endswith("_"))
+        return DESCEND
+
+    walk(t, enter)
     best = 0
-
-    def from_mode(m: Mode):
-        nonlocal best
-        if m.age != INF:
-            best = max(best, int(m.age))
-
-    def from_type(ty):
-        if isinstance(ty, (TBang, TDest)):
-            from_mode(ty.mode)
-            from_type(ty.inner)
-        elif isinstance(ty, TArrow):
-            from_mode(ty.mode)
-            from_type(ty.dom)
-            from_type(ty.cod)
-        elif isinstance(ty, (TSum, TProd, TAmpar)):
-            from_type(ty.left)
-            from_type(ty.right)
-        elif isinstance(ty, TNamed):
-            for a in ty.args:
-                from_type(a)
-
-    def walk(node):
-        for f in field_names(type(node)):
-            v = getattr(node, f)
-            if isinstance(v, Mode):
-                from_mode(v)
-            elif _is_term(v):
-                walk(v)
-            elif isinstance(v, _TYPE_TYPES):
-                from_type(v)
-
-    walk(t)
+    while found:
+        x = found.pop()
+        if isinstance(x, Mode):
+            if x.age != INF:
+                best = max(best, int(x.age))
+        elif isinstance(x, (TBang, TDest)):
+            found += (x.mode, x.inner)
+        elif isinstance(x, TArrow):
+            found += (x.mode, x.dom, x.cod)
+        elif isinstance(x, (TSum, TProd, TAmpar)):
+            found += (x.left, x.right)
+        elif isinstance(x, TNamed):
+            found += x.args
     return best
-
-
-_TYPE_TYPES = (TUnit, TSum, TProd, TBang, TArrow, TDest, TAmpar, TNamed)
 
 
 # ---------------------------------------------------------------------------

@@ -1227,18 +1227,23 @@ class _OwnScopes:
         return None
 
 
-def _free_holes(v, bound=frozenset()):
-    """Hole occurrences not bound by an enclosing ampar value."""
-    if isinstance(v, S.HoleV):
-        return set() if v.hole in bound else {v.hole}
-    if isinstance(v, S.AmparV):
-        inner = bound | v.holes
-        return _free_holes(v.left, inner) | _free_holes(v.right, inner)
-    if isinstance(v, (S.InlV, S.InrV, S.ModV)):
-        return _free_holes(v.value, bound)
-    if isinstance(v, S.PairV):
-        return _free_holes(v.fst, bound) | _free_holes(v.snd, bound)
-    return set()
+def _free_holes(v) -> set:
+    """Hole occurrences not bound by an enclosing ampar value (lambda bodies aside)."""
+    free = set()
+    if v.__dict__.get("_hmax") == 0:  # names start at 1: it holds none
+        return free
+
+    def enter(x, bound):
+        t = type(x)
+        if t is S.HoleV:
+            if x.hole not in bound:
+                free.add(x.hole)
+        elif t is S.LamV:
+            return None
+        return S.DESCEND
+
+    S.walk(v, enter)
+    return free
 
 
 def _show_set(s: ModeSet) -> str:

@@ -89,7 +89,7 @@ def plain_fv(t, memo):
         out = {t.name}
     else:
         out = set()
-        for f in S.field_names(type(t)):
+        for f in S.field_order(type(t)):
             v = getattr(t, f)
             if isinstance(v, S._TERM_TYPES):
                 out |= plain_fv(v, memo) - _bound_over(t, f)
@@ -115,7 +115,7 @@ def plain_hmax(x, memo):
     out = x.hole if isinstance(x, (S.HoleV, S.DestV)) else 0
     if isinstance(x, S.AmparV):
         out = max(x.holes, default=0)
-    for f in S.field_names(type(x)):
+    for f in S.field_order(type(x)):
         v = getattr(x, f)
         if isinstance(v, S._TERM_TYPES + S._VALUE_TYPES):
             out = max(out, plain_hmax(v, memo))

@@ -110,6 +110,32 @@ def test_internal_error_exit_code(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+def test_main_naming_no_definition_is_an_error(tmp_path, capsys):
+    from destcalc import cli as C
+
+    f = tmp_path / "undef.ld"
+    f.write_text("def r : Nat = 2\nmain = y\n")
+    for command in ("check", "run", "trace", "desugar"):
+        assert C.main([command, str(f)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: %s: main names y, which is not defined\n" % f
+
+
+def test_unreadable_file_is_an_error(tmp_path, capsys):
+    from destcalc import cli as C
+
+    bad = tmp_path / "latin1.ld"
+    bad.write_bytes("def r : Nat = 2 -- caf\xe9\nmain = r\n".encode("latin-1"))
+    for path, reason in ((tmp_path / "missing.ld", "No such file or directory"),
+                         (tmp_path, "Is a directory"),
+                         (bad, "'utf-8' codec can't decode byte 0xe9 in position 22")):
+        assert C.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read %s: %s" % (path, reason))
+        assert err.count("\n") == 1
+
+
 def test_run_builds_no_step_commands(monkeypatch, capsys, env):
     # only the origin is a Command: `run` keeps rule names, and counts steps without them
     from destcalc import cli as C

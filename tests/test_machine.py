@@ -99,7 +99,7 @@ def test_subst_stops_at_each_binder(term, kept):
             setattr(term, f, stamp)
     term.pos = (3, 4)
     out = M.subst_var(term, "x", S.InlV(S.DestV(7)))
-    for f in S.field_names(type(term)):
+    for f in S.field_order(type(term)):
         old, new = getattr(term, f), getattr(out, f)
         if not isinstance(old, S._TERM_TYPES):
             assert new == old

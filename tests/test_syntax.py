@@ -31,12 +31,7 @@ def test_desugar_nat_literal():
     # two Inr fills around an Inl of unit; count the fill constructors
     names = []
 
-    def walk(x):
-        names.append(type(x).__name__)
-        for c in S._children(x):
-            walk(c)
-
-    walk(t)
+    S.walk(t, lambda x, _: names.append(type(x).__name__) or S.DESCEND)
     assert names.count("FillInr") == 2 and names.count("FillInl") == 1
 
 
@@ -48,12 +43,9 @@ def test_desugar_idempotent_on_core():
 def test_desugar_introduces_no_values():
     t = S.desugar(parse_term(r"(\x -> x) ((), 2)"))
 
-    def has_val(x):
-        if isinstance(x, S.Val):
-            return True
-        return any(has_val(c) for c in S._children(x))
-
-    assert not has_val(t)
+    vals = []
+    S.walk(t, lambda x, _: vals.append(x) if isinstance(x, S.Val) else S.DESCEND)
+    assert not vals
 
 
 def test_constructor_recovery():

@@ -146,7 +146,7 @@ def test_stored_caches_match_a_recomputation(programs, name):
             if id(x) in seen or not isinstance(x, S._TERM_TYPES + S._VALUE_TYPES):
                 continue
             seen.add(id(x))
-            todo.extend(getattr(x, f) for f in S.field_names(type(x)))
+            todo.extend(getattr(x, f) for f in S.field_order(type(x)))
             d = x.__dict__
             if "_fv" in d:
                 assert d["_fv"] == plain_fv(x, fv_memo), (name, x)
