@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 type error (also a program with no main, or a
 main that names no definition), 2 parse error (also a file that cannot be
 read: missing, a directory or not UTF-8, printed as one
 `error: cannot read FILE: REASON` line), 3 stuck, 4 fuel exhausted,
-5 harness verdict failure, 70 internal error (an exception escaped;
-printed as one `internal error: ...` line on stderr).
+5 harness verdict failure, 6 input nested too deeply for the parser or
+the checker (printed as one `error: FILE: input too deep` line), 70
+internal error (an exception escaped; printed as one `internal error: ...`
+line on stderr).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_STUCK = 3
 EXIT_FUEL = 4
 EXIT_VERDICT = 5
+EXIT_DEEP = 6
 EXIT_INTERNAL = 70
 
 
@@ -105,6 +108,9 @@ def main(argv=None) -> int:
         ap.error("--fuel must be positive")
     try:
         return _main(args)
+    except RecursionError:
+        print("error: %s: input too deep" % args.file, file=sys.stderr)
+        return EXIT_DEEP
     except Exception as e:  # the boundary: no traceback, a status of its own
         msg = " ".join(str(e).split())
         print("internal error: %s%s" % (type(e).__name__, ": " + msg if msg else ""), file=sys.stderr)

@@ -157,7 +157,7 @@ def hnames(x) -> set:
             out.add(node.hole)
         elif t is S.AmparV:
             out.update(node.holes)
-        elif t not in S._VALUE_TYPES and hmax_term(node) == 0:  # names start at 1
+        elif t not in S._VALUE_TYPES and hmax_value(node) == 0:  # names start at 1
             return None
         return S.DESCEND
 
@@ -211,9 +211,6 @@ def hmax_value(x) -> int:
                 own = km
         d["_hmax"] = own
     return x.__dict__["_hmax"]
-
-
-hmax_term = hmax_value  # one walk serves values and terms
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Mode semiring (multiplicity x age) and the algebra of typing contexts.
+"""Mode semiring (multiplicity x age), mode sets and bindings.
 
 A mode is a pair of a multiplicity (1 or w) and an age (a finite scope
 distance ^k, or inf for scope-insensitive data).  Modes annotate every
-binding; contexts are finite maps from names to bindings.  Names are
-plain Python values: `str` for term variables, `int` for hole names, so
-the two namespaces cannot collide.
+binding; typing contexts are finite maps from names to bindings.  Names
+are plain Python values: `str` for term variables, `int` for hole names,
+so the two namespaces cannot collide.  The checker never adds or scales
+contexts: it works on the sets of modes each name can achieve
+(`ms_sum`, `ms_image`, `ms_preimage`, `ms_close`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Union
+from typing import Any, Dict, FrozenSet, Union
 
 ONE = "1"
 MANY = "w"
@@ -151,8 +153,7 @@ def discardable(m: Mode) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bindings and typing contexts.  Types are opaque payloads here; the
-# caller supplies the equality used for clash detection.
+# Bindings and typing contexts.  Types are opaque payloads here.
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,76 +181,3 @@ class HoleB:
 
 Binding = Union[VarB, DestB, HoleB]
 TypingContext = Dict[Name, Binding]
-
-
-class ContextError(Exception):
-    pass
-
-
-class AddClash(ContextError):
-    def __init__(self, name: Name, reason: str):
-        super().__init__("context addition clash at %r: %s" % (name, reason))
-        self.name = name
-        self.reason = reason
-
-
-class NotInvertible(ContextError):
-    def __init__(self, h: int):
-        super().__init__("destination binding ->%d has outer mode other than 1v" % h)
-        self.hole = h
-
-
-def scale_binding(n: Mode, b: Binding) -> Binding:
-    # Pointwise multiplication of the outer mode; a destination's inner
-    # mode is part of its type and is never rescaled.
-    if isinstance(b, VarB):
-        return VarB(mode_times(n, b.mode), b.ty)
-    if isinstance(b, DestB):
-        return DestB(mode_times(n, b.mode), b.ty, b.hole_mode)
-    return HoleB(b.ty, mode_times(n, b.hole_mode))
-
-
-def ctx_scale(n: Mode, ctx: TypingContext) -> TypingContext:
-    return {name: scale_binding(n, b) for name, b in ctx.items()}
-
-
-def _add_bindings(name: Name, a: Binding, b: Binding, type_eq: Callable[[Any, Any], bool]) -> Binding:
-    if type(a) is not type(b):
-        raise AddClash(name, "different binding forms")
-    if not type_eq(a.ty, b.ty):
-        raise AddClash(name, "different types")
-    if isinstance(a, VarB):
-        return VarB(mode_plus(a.mode, b.mode), a.ty)
-    if isinstance(a, DestB):
-        if a.hole_mode != b.hole_mode:
-            raise AddClash(name, "different inner modes")
-        return DestB(mode_plus(a.mode, b.mode), a.ty, a.hole_mode)
-    return HoleB(a.ty, mode_plus(a.hole_mode, b.hole_mode))
-
-
-def ctx_add(a: TypingContext, b: TypingContext, type_eq: Callable[[Any, Any], bool] = None) -> TypingContext:
-    if type_eq is None:
-        type_eq = lambda s, t: s == t
-    out = dict(a)
-    for name, bb in b.items():
-        if name in out:
-            out[name] = _add_bindings(name, out[name], bb, type_eq)
-        else:
-            out[name] = bb
-    return out
-
-
-def hole_inverse(delta: TypingContext) -> TypingContext:
-    """Turn a Delta of destination bindings into the matching hole bindings.
-
-    Each ->h :_1v |_n T| becomes []h :_n T; any outer mode other than 1v
-    makes the inversion undefined.
-    """
-    out: TypingContext = {}
-    for name, b in delta.items():
-        if not isinstance(b, DestB):
-            raise NotInvertible(name if isinstance(name, int) else -1)
-        if b.mode != UNIT:
-            raise NotInvertible(name)
-        out[name] = HoleB(b.ty, b.hole_mode)
-    return out

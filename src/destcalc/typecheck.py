@@ -61,7 +61,8 @@ def _err(kind, msg, node=None, **info):
 
 @dataclass
 class CheckStats:
-    # times a destination binding with outer mode other than 1v was consumed
+    # times a destination binding with outer mode other than 1v was consumed;
+    # only the context a caller gives `check_term`/`check_value` can hold one
     dest_coercions: int = 0
 
 
@@ -461,11 +462,10 @@ class Checker:
         cache-free reference are the whole check's.
         """
         if self.type_log is None and cmd.ctx:
-            before = self.stats.dest_coercions
             try:
                 return self._check_by_levels(cmd, expected)
             except (TypeCheckError, _Unsynthesizable):
-                self.stats.dest_coercions = before
+                pass
         self._levels = []
         _check_open_disjointness(cmd.ctx)
         return self.check_term({}, _wrap_components(cmd.ctx, cmd.focus), expected)
@@ -490,28 +490,19 @@ class Checker:
         the module docstring).  The walk up types each component around a
         `_Slot` that stands for its slot's typing, and stops at the first
         reused level whose slot typing is last time's: nothing above it
-        changed, and the destination coercions counted there are replayed.
+        changed.
         """
         levels = self._descend(cmd.ctx, expected)
         self._levels, self._expected = [], None  # until this check succeeds
-        stats = self.stats
         last = levels[-1]
         typing = self.infer(last.slot_gamma, cmd.focus, last.slot_exp)
-        i, counted = len(levels) - 1, 0
-        while i >= 0:
-            lv = levels[i]
+        for lv in reversed(levels):
             if lv.slot_typing == typing:
-                stats.dest_coercions += lv.coercions
-                counted, typing = lv.coercions, levels[0].typing
+                typing = levels[0].typing
                 break
-            before = stats.dest_coercions
             typing_i = self.infer(lv.gamma, lv.node(_Slot(typing)), lv.exp)
-            lv.coercions = stats.dest_coercions - before
             lv.slot_typing, lv.typing = typing, typing_i
             typing = typing_i
-            i -= 1
-        for lv in levels[i + 1:]:  # the levels typed again count from the outermost
-            counted = lv.coercions = counted + lv.coercions
         ty, usage = typing
         if usage:  # a name the command does not bind: the whole check reports it
             raise _err("UnknownVar", "unbound name %r" % next(iter(usage)))
@@ -523,29 +514,24 @@ class Checker:
 
         The levels of the longest prefix that the last command checked by
         levels shares are reused as they are; each later component is
-        typed around a `_Slot` probe that stops at its slot.  What this
-        pass counts is discarded: the walk up counts each component whole.
+        typed around a `_Slot` probe that stops at its slot.
         """
         old = self._levels if expected == self._expected else []
         j, n = 0, min(len(ctx), len(old))
         while j < n and ctx[j] is old[j].comp:
             j += 1
         levels = old[:j]
-        before = self.stats.dest_coercions
-        try:
-            for i in range(j, len(ctx)):
-                comp = ctx[i]
-                up = levels[-1] if levels else None
-                names = old[i].names if i < len(old) and old[i].comp is comp else M.hnames(comp)
-                lv = _Level(comp, names, up.seen if up else frozenset())
-                lv.gamma, lv.exp = (up.slot_gamma, up.slot_exp) if up else ({}, expected)
-                try:
-                    self.infer(lv.gamma, lv.node(_Slot(None)), lv.exp)
-                except _Stopped as s:
-                    lv.slot_gamma, lv.slot_exp = s.gamma, s.exp
-                levels.append(lv)
-        finally:
-            self.stats.dest_coercions = before
+        for i in range(j, len(ctx)):
+            comp = ctx[i]
+            up = levels[-1] if levels else None
+            names = old[i].names if i < len(old) and old[i].comp is comp else M.hnames(comp)
+            lv = _Level(comp, names, up.seen if up else frozenset())
+            lv.gamma, lv.exp = (up.slot_gamma, up.slot_exp) if up else ({}, expected)
+            try:
+                self.infer(lv.gamma, lv.node(_Slot(None)), lv.exp)
+            except _Stopped as s:
+                lv.slot_gamma, lv.slot_exp = s.gamma, s.exp
+            levels.append(lv)
         return levels
 
     # -- term inference ---------------------------------------------------------
@@ -558,8 +544,7 @@ class Checker:
         environment, `exp` and the mode strictness, in any context.  It is
         kept on the node (`_typed_`) for as long as the node lives: a shared
         library term, or a closed term under binders, is typed once per type
-        environment, whichever checker asks.  A hit replays the destination
-        coercions the first inference counted.  Failures are not kept, nor
+        environment, whichever checker asks.  Failures are not kept, nor
         are the typings of the wrapper nodes a check builds around a focus.
         """
         if self.type_log is not None:
@@ -573,16 +558,14 @@ class Checker:
             return self._infer(gamma, t, exp)
         key = (self.tyenv, exp, self.mode_strict)
         if typed is not None:
-            hit = typed.get(key)
-            if hit is not None:
-                self.stats.dest_coercions += hit[1]
-                return hit[0], {}
-        before = self.stats.dest_coercions
+            ty = typed.get(key)
+            if ty is not None:
+                return ty, {}
         ty, usage = self._infer(gamma, t, exp)
         if not usage:
             if typed is None:
                 typed = t.__dict__["_typed_"] = {}
-            typed[key] = (ty, self.stats.dest_coercions - before)
+            typed[key] = ty
         return ty, usage
 
     def _infer(self, gamma, t, exp) -> Tuple[object, Usage]:
@@ -890,13 +873,12 @@ class Checker:
         lambda values.  The result is a function of the term (of its value,
         for a `Val`), the expected type and the bindings it can read: those
         of its free variables and of the hole names up to its largest one.
-        A hit replays the destination coercions the first inference counted.
         Failures are not kept.
         """
         if self.type_log is not None:
             return self.infer(gamma, t, exp)
         x = t.value if type(t) is S.Val else t
-        top = M.hmax_term(t)
+        top = M.hmax_value(t)
         key = (
             id(x), exp,
             tuple((v, gamma.get(v)) for v in M.free_vars_cached(t)),
@@ -904,20 +886,16 @@ class Checker:
         )
         hit = self._memo.get(key)
         if hit is not None:
-            _, ty, usage, coercions = hit
-            self.stats.dest_coercions += coercions
+            _, ty, usage = hit
             return ty, dict(usage)
-        before = self.stats.dest_coercions
         ty, usage = self.infer(gamma, t, exp)
-        self._memo[key] = (x, ty, dict(usage), self.stats.dest_coercions - before)
+        self._memo[key] = (x, ty, dict(usage))
         return ty, usage
 
     def _infer_open(self, gamma, t: OpenFocus, exp):
-        """The structure is typed once per node, whatever `inner` then holds;
-        a reuse replays the destination coercions that typing counted."""
+        """The structure is typed once per node, whatever `inner` then holds."""
         left_exp, right_exp = self._amp_parts(exp, t)
         if t.typed is None:
-            before = self.stats.dest_coercions
             own = _OwnScopes([])
             own.push(t.holes)
             theta = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
@@ -925,10 +903,9 @@ class Checker:
             scope = own.pop()
             delta3 = self._resolve_own_holes(t.holes, scope, lu, t)
             lu = {k: s for k, s in lu.items() if k not in t.holes}
-            t.typed = (lty, lu, delta3, self.stats.dest_coercions - before)
+            t.typed = (lty, lu, delta3)
         else:
-            lty, lu, delta3, coercions = t.typed
-            self.stats.dest_coercions += coercions
+            lty, lu, delta3 = t.typed
         g = dict(gamma)
         g.update(delta3)
         ity, iu = self.infer(g, t.inner, right_exp)
@@ -1132,21 +1109,19 @@ class _Level:
 
     `gamma` and `exp` reach the component, `slot_gamma` and `slot_exp` its
     slot; `slot_typing` is the (type, usage) its slot produced and `typing`
-    the one it produced from that.  `coercions` are the destination
-    coercions this component and those outside it counted around their
-    slots, and `seen` the hole names they hold.  An open ampar keeps its
+    the one it produced from that.  `seen` are the hole names this
+    component and those outside it hold.  An open ampar keeps its
     `OpenFocus` node, which holds the typing of its structure.
     """
 
     __slots__ = ("comp", "names", "seen", "gamma", "exp", "slot_gamma", "slot_exp",
-                 "open", "slot_typing", "typing", "coercions")
+                 "open", "slot_typing", "typing")
 
     def __init__(self, comp, names, seen_outside):
         self.comp, self.names = comp, names
         self.seen = _seen_through(comp, names, seen_outside)
         self.open = OpenFocus(comp.holes, comp.left, None) if type(comp) is M.OpenAmpar else None
         self.slot_typing = self.typing = None
-        self.coercions = 0
 
     def node(self, term):
         """The component's node around `term`; an open ampar's is made once."""

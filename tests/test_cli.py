@@ -101,13 +101,27 @@ def test_verify_does_not_change_result():
     assert plain.returncode == verified.returncode == 0
 
 
-def test_internal_error_exit_code(tmp_path):
-    f = tmp_path / "big.ld"
-    f.write_text("def n : Nat = 500\nmain = n")
-    r = cli("run", str(f))
-    assert r.returncode == 70
-    assert r.stderr.startswith("internal error: ") and r.stderr.count("\n") == 1
-    assert "Traceback" not in r.stderr
+def test_internal_error_exit_code(monkeypatch, capsys):
+    from destcalc import cli as C
+
+    def broken(*args):
+        raise ValueError("no\n  such   rule")
+
+    monkeypatch.setattr(C.M, "run", broken)
+    assert C.main(["run", CONS]) == 70
+    assert capsys.readouterr().err == "internal error: ValueError: no such rule\n"
+
+
+@pytest.mark.parametrize("src", [
+    "def x : Nat = %s1%s\nmain = x\n" % ("(" * 3000, ")" * 3000),  # the parser's depth
+    "def x : Nat = 500\nmain = x\n",  # the checker's depth
+])
+def test_deep_input_exit_code(tmp_path, src):
+    f = tmp_path / "deep.ld"
+    f.write_text(src)
+    r = cli("check", str(f))
+    assert r.returncode == 6
+    assert r.stderr == "error: %s: input too deep\n" % f
 
 
 def test_main_naming_no_definition_is_an_error(tmp_path, capsys):

@@ -1,14 +1,11 @@
-"""Mode semiring laws and typing-context algebra."""
+"""Mode semiring laws and mode-set operations."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from destcalc.modes import (
-    INF, Mode, UNIT, ONE_UP, ONE_INF, MANY_NOW, MANY_INF,
+    INF, Mode, UNIT, ONE_UP, ONE_INF, MANY_INF,
     mode_plus, mode_times, mode_leq,
-    ms_close, ms_image, ms_preimage, ms_sum, USE_SET,
-    VarB, DestB, HoleB, AddClash, NotInvertible,
-    ctx_add, ctx_scale, hole_inverse,
+    ms_close, ms_image, ms_preimage, USE_SET,
 )
 
 AGES = list(range(9)) + [INF]
@@ -75,65 +72,3 @@ def test_mode_set_ops():
     assert MANY_INF in ms_close(frozenset({UNIT}))
     assert Mode("w", 0) in ms_close(frozenset({UNIT}))
 
-
-def test_ctx_scale_pointwise():
-    T = object()
-    ctx = {"x": VarB(UNIT, T), "xs": VarB(UNIT, T)}
-    out = ctx_scale(ONE_UP, ctx)
-    assert out["x"].mode == ONE_UP and out["xs"].mode == ONE_UP
-    assert ctx_scale(ONE_UP, {}) == {}
-    # a destination's inner mode never rescales
-    d = ctx_scale(ONE_UP, {3: DestB(UNIT, T, MANY_NOW)})
-    assert d[3].mode == ONE_UP and d[3].hole_mode == MANY_NOW
-
-
-def test_ctx_add():
-    T = object()
-    a = {"x": VarB(UNIT, T)}
-    b = {"x": VarB(ONE_UP, T)}
-    out = ctx_add(a, b)
-    assert out["x"].mode == MANY_INF  # (1+1)(v+^1)
-    merged = ctx_add({3: DestB(UNIT, T, UNIT)}, {"x": VarB(UNIT, T)})
-    assert set(merged) == {3, "x"}
-    with pytest.raises(AddClash):
-        ctx_add({3: HoleB(T, UNIT)}, {3: DestB(UNIT, T, UNIT)})
-    with pytest.raises(AddClash):
-        ctx_add({"x": VarB(UNIT, T)}, {"x": VarB(UNIT, object())})
-    with pytest.raises(AddClash):
-        ctx_add({3: DestB(UNIT, T, UNIT)}, {3: DestB(UNIT, T, MANY_NOW)})
-
-
-@given(st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=1), modes, max_size=3),
-       st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=1), modes, max_size=3))
-def test_ctx_add_commutative(ma, mb):
-    T = object()
-    a = {k: VarB(m, T) for k, m in ma.items()}
-    b = {k: VarB(m, T) for k, m in mb.items()}
-    assert ctx_add(a, b) == ctx_add(b, a)
-
-
-def test_hole_inverse():
-    T = object()
-    assert hole_inverse({}) == {}
-    out = hole_inverse({2: DestB(UNIT, T, MANY_INF)})
-    assert out == {2: HoleB(T, MANY_INF)}
-    with pytest.raises(NotInvertible):
-        hole_inverse({2: DestB(MANY_NOW, T, UNIT)})
-
-
-@given(st.dictionaries(st.integers(1, 9), modes, max_size=4))
-def test_hole_inverse_bijection(hole_modes):
-    T = object()
-    delta = {h: DestB(UNIT, T, n) for h, n in hole_modes.items()}
-    theta = hole_inverse(delta)
-    back = {h: DestB(UNIT, b.ty, b.hole_mode) for h, b in theta.items()}
-    assert back == delta
-
-
-@given(st.dictionaries(st.sampled_from("ab"), modes, max_size=2),
-       st.dictionaries(st.sampled_from("ab"), modes, max_size=2),
-       st.dictionaries(st.sampled_from("ab"), modes, max_size=2))
-def test_ctx_add_associative(ma, mb, mc):
-    T = object()
-    a, b, c = ({k: VarB(m, T) for k, m in d.items()} for d in (ma, mb, mc))
-    assert ctx_add(ctx_add(a, b), c) == ctx_add(a, ctx_add(b, c))

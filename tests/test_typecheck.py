@@ -177,6 +177,17 @@ def test_dest_coercion_counter(ck):
     ty = ck.check_value({7: DestB(MANY_INF, T, UNIT)}, S.DestV(7))
     assert isinstance(ck.tyenv.head(ty), S.TDest)
     assert ck.stats.dest_coercions == 1
+    # a lambda that fills the destination, checked twice on one checker: the
+    # second check types its body from the memo, and no cache may swallow
+    # the coercion or count it again
+    ck = Checker(ck.tyenv)
+    lam = S.LamV("x", UNIT, S.Seq(S.Var("x"), S.FillUnit(S.Val(S.DestV(7)))))
+    theta = {7: DestB(MANY_INF, S.TUnit(), UNIT)}
+    counts = []
+    for _ in range(2):
+        ck.check_value(theta, lam, parse_type("1 -o 1"))
+        counts.append(ck.stats.dest_coercions)
+    assert counts == [1, 2]
 
 
 def test_lambda_value_must_not_capture(ck):
