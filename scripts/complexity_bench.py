@@ -5,10 +5,11 @@
 
 For `toListN` over k left-nested `concatN` of `dsingleN (i % 10)` it runs the
 machine, then times the preservation pass (`check_preservation` with a new
-checker) and the balance scan (`scan_trace_balance`) over the trace, and
-counts the `Checker._infer` and `Checker.infer_value` calls a preservation
-pass makes, on a second run of the machine so that counting does not slow the
-timed pass.  After the first size each column also shows its growth since
+checker), the balance scan (`scan_trace_balance`) and the printing of every
+command (`cli.print_command` with one table of forms for the trace) over the
+trace, and counts the `Checker._infer` and `Checker.infer_value` calls a
+preservation pass makes, on a second run of the machine so that counting does
+not slow the timed pass.  After the first size each column also shows its growth since
 the size before: doubling k doubles the steps, so a pass linear in the trace
 grows about 2x per doubling.
 """
@@ -19,6 +20,7 @@ import time
 from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
+from destcalc.cli import Shown, print_command
 from destcalc.prelude import load_prelude
 from destcalc.typecheck import Checker
 
@@ -42,6 +44,14 @@ def _timed(fn, *args):
     verdict = fn(*args)
     if not verdict.ok:
         raise SystemExit("verdict failure: %s" % verdict.failures[:1])
+    return time.perf_counter() - start
+
+
+def _printed(trace):
+    """Seconds to print every command of the trace, as `destcalc trace` does."""
+    start, shown = time.perf_counter(), Shown()
+    for _, cmd in trace.steps:
+        print_command(cmd, shown)
     return time.perf_counter() - start
 
 
@@ -70,13 +80,15 @@ def _counted_preservation(env, trace, ty):
 
 
 def ladder_row(env, k):
-    """(steps, preservation s, balance s, `_infer` calls, `infer_value` calls) at size k."""
+    """(steps, preservation s, balance s, print s, `_infer` calls, `infer_value` calls) at size k."""
     term = dlist_prog(env, k)
     ty = env.checker().check_command(M.Command((), term))
     trace = _trace(term)
     preservation = _timed(H.check_preservation, trace, Checker(env.tyenv), ty)
     balance = _timed(H.scan_trace_balance, trace)
-    return (len(trace.steps), preservation, balance) + _counted_preservation(env, _trace(term), ty)
+    printing = _printed(trace)
+    return ((len(trace.steps), preservation, balance, printing)
+            + _counted_preservation(env, _trace(term), ty))
 
 
 def main():
@@ -84,7 +96,8 @@ def main():
     ap.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64, 128])
     args = ap.parse_args()
     env = load_prelude()
-    heads = ("steps", "preservation s", "balance s", "_infer calls", "infer_value calls")
+    heads = ("steps", "preservation s", "balance s", "print s", "_infer calls",
+             "infer_value calls")
     print("%5s" % "k" + "".join("%21s" % h for h in heads))
     prev = None
     for k in args.sizes:

@@ -38,40 +38,53 @@ class _Field:
     """A frame's field in its print format: `{f:p}` prints the term at precedence p,
     `{f}` the field as it is (a variable name or a mode)."""
 
-    __slots__ = ("x",)
+    __slots__ = ("x", "forms")
 
-    def __init__(self, x):
-        self.x = x
+    def __init__(self, x, forms):
+        self.x, self.forms = x, forms
 
     def __format__(self, prec):
-        return print_term(self.x, int(prec)) if prec else str(self.x)
+        return print_term(self.x, int(prec), self.forms) if prec else str(self.x)
 
 
-def print_component(e) -> str:
+def print_component(e, forms=None) -> str:
+    """A frame or an open ampar; `forms` is the table of known forms (`printer.form`)."""
     if isinstance(e, M.OpenAmpar):
         hs = " ".join("#%d" % h for h in sorted(e.holes))
-        return "{%s}op/ %s, [] /" % (hs, print_value(e.left, 0))
+        return "{%s}op/ %s, [] /" % (hs, print_value(e.left, 0, forms))
     kind = M.FRAMES[e.cls, e.slot]
-    return kind.fmt.format_map(dict(zip(kind.names, map(_Field, e.fields))))
+    return kind.fmt.format_map({n: _Field(x, forms) for n, x in zip(kind.names, e.fields)})
 
 
-def print_command(cmd: M.Command, shown=None) -> str:
+class Shown:
+    """What printing the commands of one trace keeps from command to command: the
+    forms of the nodes printed (`printer.form`), and the component at each
+    context position with its string."""
+
+    __slots__ = ("forms", "ctx")
+
+    def __init__(self):
+        self.forms, self.ctx = {}, []
+
+
+def print_command(cmd: M.Command, shown: Shown = None) -> str:
     """One command on one line.
 
-    `shown`, a list kept across the commands of one trace, holds the
-    (component, string) at each context position; consecutive commands
-    share frames, so a frame that stays in place is printed once.
+    `shown` is kept across the commands of one trace.  Consecutive commands
+    share frames and most of their nodes, so a frame that stays in place is
+    printed once, and a command costs only the nodes new in it.
     """
     if shown is None:
-        shown = []
-    del shown[len(cmd.ctx):]
+        shown = Shown()
+    forms, ctx = shown.forms, shown.ctx
+    del ctx[len(cmd.ctx):]
     for i, e in enumerate(cmd.ctx):
-        if i == len(shown):
-            shown.append((e, print_component(e)))
-        elif shown[i][0] is not e:
-            shown[i] = (e, print_component(e))
-    parts = ["[]"] + [s for _, s in shown]
-    return "(%s)[%s]" % (" o ".join(parts), print_term(cmd.focus, 0))
+        if i == len(ctx):
+            ctx.append((e, print_component(e, forms)))
+        elif ctx[i][0] is not e:
+            ctx[i] = (e, print_component(e, forms))
+    parts = ["[]"] + [s for _, s in ctx]
+    return "(%s)[%s]" % (" o ".join(parts), print_term(cmd.focus, 0, forms))
 
 
 def _decoded(value, main_ty, env) -> str:
@@ -171,7 +184,7 @@ def _main(args) -> int:
     doc = {"program": args.file, "type": print_type(main_ty)}
     steps_doc = []
     if args.command == "trace" and not args.json_out:
-        shown = []
+        shown = Shown()
         for i, (rule, cmd) in enumerate(res.trace.steps, start=1):
             print("step %d  %s  %s" % (i, rule, print_command(cmd, shown)))
 
@@ -202,7 +215,7 @@ def _main(args) -> int:
             exit_code = EXIT_VERDICT
 
     if args.json_out:
-        shown = []
+        shown = Shown()
         for i, (rule, cmd) in enumerate(res.trace.steps, start=1):
             entry = {"i": i, "rule": rule, "command": print_command(cmd, shown)}
             if args.verify and verdicts is not None and verdicts["preservation"]:

@@ -83,32 +83,54 @@ def check_progress_determinism(tr: M.Trace) -> Verdict:
 # -- balance ------------------------------------------------------------------
 
 
-def _count_occ(x, h: int, kind, problems=None) -> int:
-    """Occurrences of hole/dest named h in a value or term, not descending under a binder for h.
+def _occurrences(x):
+    """Every hole and destination name in a value or term, counted in one walk.
 
-    The two arms of a sum case are alternatives: exactly one will run, so
-    they must mention the name equally often, and count once jointly.
+    Gives (counts, problems): `counts` maps (name, kind), kind S.HoleV or
+    S.DestV, to the occurrences that no ampar on the way binds.  The two arms
+    of a sum case are alternatives: exactly one will run, so they must
+    mention a name equally often, and count once jointly; `problems` maps
+    (name, kind) to the messages of the cases whose arms do not.
     """
+    problems: dict = {}
 
-    def enter(y, _):
+    def enter(y, bound):
         t = type(y)
-        if t is kind and y.hole == h:
-            return 1
-        if t is S.HoleV or t is S.DestV or t is S.UnitV or M.hmax_value(y) < h:
-            return 0  # no name as large as h: no occurrence, no uneven case
-        if t is S.AmparV and h in y.holes:
-            return 0
+        if t is S.HoleV or t is S.DestV:
+            return None if y.hole in bound else {(y.hole, t): 1}
+        if t is S.UnitV or M.hmax_value(y) == 0:  # names start at 1: no name below
+            return None
         return S.DESCEND
 
-    def leave(y, counts):
-        if type(y) is not S.CaseSum:
-            return sum(counts)
-        n, l, r = counts
-        if l != r and problems is not None:
-            problems.append("case branches mention name %d unevenly (%d vs %d)" % (h, l, r))
-        return n + max(l, r)
+    def leave(y, kids):  # a node's counts: its first child's that has any, the others added in
+        if type(y) is S.CaseSum:
+            out, left, right = (k or {} for k in kids)
+            for key in left.keys() | right.keys():
+                a, b = left.get(key, 0), right.get(key, 0)
+                if a != b:
+                    problems.setdefault(key, []).append(
+                        "case branches mention name %d unevenly (%d vs %d)" % (key[0], a, b))
+                out[key] = out.get(key, 0) + max(a, b)
+            return out or None
+        out = None
+        for k in kids:
+            if not k:
+                continue
+            if out is None:
+                out = k
+            else:
+                for key, n in k.items():
+                    out[key] = out.get(key, 0) + n
+        return out
 
-    return S.walk(x, enter, leave)
+    return S.walk(x, enter, leave) or {}, problems
+
+
+def _take(occ, h: int, kind, problems: List[str]) -> int:
+    """The count of name h as `kind` in `_occurrences` result occ; its problems go to `problems`."""
+    counts, probs = occ
+    problems.extend(probs.get((h, kind), ()))
+    return counts.get((h, kind), 0)
 
 
 def _scan_balance(x, failures, where):
@@ -119,8 +141,9 @@ def _scan_balance(x, failures, where):
             return None
         if type(v) is S.AmparV:
             probs: List[str] = []
+            sides = (_occurrences(v.left), _occurrences(v.right))
             for h in v.holes:
-                holes, dests = (sum(_count_occ(k, h, kind, probs) for k in (v.left, v.right))
+                holes, dests = (sum(_take(occ, h, kind, probs) for occ in sides)
                                 for kind in (S.HoleV, S.DestV))
                 if holes != 1 or dests != 1:
                     failures.append(
@@ -142,37 +165,30 @@ class _Facts:
     A frame is scanned as its node with a name-free term in the slot.
     """
 
-    __slots__ = ("comp", "node", "names", "own", "holes", "counts")
+    __slots__ = ("comp", "node", "own", "holes", "occ")
 
     def __init__(self, e):
         self.comp = e
-        self.names = M.hnames(e)
         self.own: List[Tuple[int, str]] = []  # failures of binders inside the component
         self.holes = []  # an open ampar's (name, hole count, problems found counting)
-        self.counts = {}  # (name, kind) -> (occurrences in the component, problems found)
+        self.occ = None  # the `_occurrences` of the component, made when first asked
         if isinstance(e, M.OpenAmpar):
             self.node = None
+            self.occ = _occurrences(e.left)
             for h in e.holes:
                 probs: List[str] = []
-                self.holes.append((h, _count_occ(e.left, h, S.HoleV, probs), probs))
+                self.holes.append((h, _take(self.occ, h, S.HoleV, probs), probs))
             _scan_balance(e.left, self.own, "open ampar structure")
         else:
             self.node = M.plug(e, _NO_NAMES)
             _scan_balance(self.node, self.own, "component")
 
     def count(self, h: int, kind, problems: List[str]) -> int:
-        if h not in self.names:  # then there is nothing to count, and no uneven case
-            return 0
-        hit = self.counts.get((h, kind))
-        if hit is None:
-            probs: List[str] = []
-            if self.node is None:  # an open ampar; its own binder scope is handled separately
-                n = _count_occ(self.comp.left, h, kind, probs) if h not in self.comp.holes else 0
-            else:
-                n = _count_occ(self.node, h, kind, probs)
-            hit = self.counts[h, kind] = (n, probs)
-        problems.extend(hit[1])
-        return hit[0]
+        if self.node is None and h in self.comp.holes:
+            return 0  # an open ampar's own binder scope is handled separately
+        if self.occ is None:
+            self.occ = _occurrences(self.node)
+        return _take(self.occ, h, kind, problems)
 
 
 def _scan(cmd: M.Command, memo: dict) -> List[Tuple[int, str]]:
@@ -186,12 +202,15 @@ def _scan(cmd: M.Command, memo: dict) -> List[Tuple[int, str]]:
         facts.append(f)
     failures: List[Tuple[int, str]] = []
     problems: List[str] = []
+    focus = None  # the `_occurrences` of the focus, made when first asked
     for i, f in enumerate(facts):
         for h, holes, probs in f.holes:
             problems.extend(probs)
+            if focus is None:
+                focus = _occurrences(cmd.focus)
             counts = []
             for kind in (S.DestV, S.HoleV):
-                n = _count_occ(cmd.focus, h, kind, problems)
+                n = _take(focus, h, kind, problems)
                 for f2 in facts[i + 1 :]:
                     n += f2.count(h, kind, problems)
                 counts.append(n)

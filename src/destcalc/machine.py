@@ -272,25 +272,30 @@ def free_vars_cached(t) -> frozenset:
     return fv
 
 
-def subst_var(t, x: str, r):
-    """Capture-avoiding substitution of r for the free variable x in t.
+def subst_var(t, x: str, r, y: str = None, s=None):
+    """Capture-avoiding substitution of r for the free variable x in t, and of s
+    for y in the same pass when y is given.
 
     `r` is a closed value, put in as `Val(r)` at the variable's position,
-    or a term (`fix` unrolls by putting in itself), put in as it is.  Only
-    the nodes on the paths to x are rebuilt, each from its fields in order
-    with its elaboration stamps, and each gets its free variables and its
-    largest hole name stored, so no later walk visits it.
+    or a term (`fix` unrolls by putting in itself), put in as it is.  With
+    y, r and s are closed values, and the result is that of x's substitution
+    followed by y's (x's alone when y is x).  Only the nodes on the paths to
+    x and y are rebuilt, each from its fields in order with its elaboration
+    stamps, and each gets its free variables and its largest hole name
+    stored, so no later walk visits it.
     """
     fv = free_vars_cached(t)
+    also = (y, s, hmax_value(s)) if y is not None and y != x and y in fv else None
     if x not in fv:
-        return t
+        return t if also is None else _subst(t, fv, y, s, True, also[2], _NO_VARS)
     if type(r) in S._VALUE_TYPES:
-        return _subst(t, fv, x, r, True, hmax_value(r), _NO_VARS)
-    return _subst(t, fv, x, r, False, hmax_value(r), free_vars_cached(r))
+        return _subst(t, fv, x, r, True, hmax_value(r), _NO_VARS, also)
+    return _subst(t, fv, x, r, False, hmax_value(r), free_vars_cached(r), also)
 
 
-def _subst(t, fv, x, r, is_value, r_hmax, r_fv):
-    """`subst_var` on a node t whose free variables fv include x."""
+def _subst(t, fv, x, r, is_value, r_hmax, r_fv, also=None):
+    """`subst_var` on a node t whose free variables fv include x.  `also`, when
+    given, is a second binding (y, s, s's largest hole name), y free in t."""
     cls = type(t)
     if cls is S.Var:
         if not is_value:
@@ -307,13 +312,23 @@ def _subst(t, fv, x, r, is_value, r_hmax, r_fv):
         if kid_fv is None:
             kid_fv = free_vars_cached(kid)
         # a binder names one or two variables: the first and last of its scope
-        if x in kid_fv and not (scope and (args[scope[0]] == x or args[scope[-1]] == x)):
+        hit = x in kid_fv and not (scope and (args[scope[0]] == x or args[scope[-1]] == x))
+        if also is not None:
+            y = also[0]
+            if y in kid_fv and not (scope and (args[scope[0]] == y or args[scope[-1]] == y)):
+                args[i] = (_subst(kid, kid_fv, x, r, is_value, r_hmax, r_fv, also) if hit
+                           else _subst(kid, kid_fv, y, also[1], True, also[2], _NO_VARS))
+                continue
+        if hit:
             args[i] = _subst(kid, kid_fv, x, r, is_value, r_hmax, r_fv)
     node = cls(*args)
     h = t.__dict__.get("_hmax")
     if h is None:
         h = hmax_value(t)
     fv = fv - {x}
+    if also is not None:
+        fv = fv - {also[0]}
+        h = max(h, also[2])
     d = node.__dict__
     d["_fv"] = fv | r_fv if r_fv else fv
     d["_hmax"] = h if h > r_hmax else r_hmax
@@ -848,8 +863,8 @@ _MATCH = {
             st, t.right_body, t.right_var, t.scrut.value.value)),
     }),
     S.CasePair: _on_value(S.CasePair, "scrut", {
-        S.PairV: ("⊗EC", lambda st, t: _substituted(
-            st, subst_var(t.body, t.var1, t.scrut.value.fst), t.var2, t.scrut.value.snd)),
+        S.PairV: ("⊗EC", lambda st, t: st.refocus(subst_var(
+            t.body, t.var1, t.scrut.value.fst, t.var2, t.scrut.value.snd))),
     }),
     S.CaseBang: _match_case_bang,
     S.UpdWith: _on_value(S.UpdWith, "scrut", {S.AmparV: ("⋉OP", _open)}),

@@ -71,6 +71,27 @@ def test_subst_var():
     assert out == S.FillLeaf(S.Var("d"), S.Val(S.InlV(S.UnitV())))
 
 
+@pytest.mark.parametrize("src", [
+    r"f x y",
+    r"case s of { Inl x -> x y, Inr y -> x y }",  # each arm shadows one of the two
+    r"case s of (x, z) -> x y",
+    r"f x",
+    r"f y",
+    r"f z",
+])
+def test_subst_var_two_bindings_in_one_pass(src):
+    # `⊗EC` puts in both halves of a pair in one pass: as one substitution after the other
+    t, a, b = parse_term(src), S.InlV(S.HoleV(3)), S.DestV(5)
+    out = M.subst_var(t, "x", a, "y", b)
+    assert out == M.subst_var(M.subst_var(t, "x", a), "y", b)
+    nodes = []
+    S.walk(out, lambda node, _: nodes.append(node) or S.DESCEND)
+    for node in nodes:
+        if "_fv" in node.__dict__ and "_hmax" in node.__dict__:  # built by the substitution
+            _stored_caches_hold(node)
+    assert M.subst_var(t, "x", a, "x", b) == M.subst_var(t, "x", a)  # the first binding wins
+
+
 X, U = S.Var("x"), S.UnitV()
 T = S.TNamed("T", ())
 

@@ -40,7 +40,7 @@ PINNED = {
 def trace_digest(term) -> str:
     res = M.run_term(term, 10**6)
     assert isinstance(res, M.Finished)
-    sha, shown = hashlib.sha256(), []
+    sha, shown = hashlib.sha256(), cli.Shown()
     for rule, cmd in res.trace.steps:
         sha.update(("%s\t%s\n" % (rule, print_command(cmd, shown))).encode("utf-8"))
     sha.update(("final\t%s\n" % print_value(res.value)).encode("utf-8"))
@@ -104,12 +104,13 @@ def test_checks_by_levels_match_whole_checks(env, programs):
 def test_print_command_reuses_component_strings(programs, monkeypatch):
     calls = []
     original = cli.print_component
-    monkeypatch.setattr(cli, "print_component", lambda e: calls.append(e) or original(e))
+    monkeypatch.setattr(cli, "print_component",
+                        lambda e, forms: calls.append(e) or original(e, forms))
     for name in ("golden", "queue", "dlist", "minamide"):
         cmds = [cmd for _, cmd in M.run_term(programs[name], 10**6).trace.steps]
         full = [print_command(cmd) for cmd in cmds]
         n_full = len(calls)
-        shown = []
+        shown = cli.Shown()
         assert [print_command(cmd, shown) for cmd in cmds] == full
         assert len(calls) - n_full < n_full / 4, name
         calls.clear()

@@ -83,16 +83,17 @@ def test_balance_of_deep_inputs(ampar):
     assert H.scan_balance(M.Command((), deep_term(S.Val(ampar)))).ok
 
 
-def test_count_occ_of_deep_inputs(ampar):
-    assert H._count_occ(ampar.left, NAME, S.HoleV) == 1
-    assert H._count_occ(ampar.left, NAME, S.DestV) == 0
-    assert H._count_occ(ampar, NAME, S.HoleV) == 0  # under its binder
+def test_occurrences_of_deep_inputs(ampar):
+    assert H._occurrences(ampar.left) == ({(NAME, S.HoleV): 1}, {})
+    assert H._occurrences(ampar) == ({}, {})  # under its binder
     # a case nested DEPTH deep whose arms each mention the name once: no uneven case
     t = S.Val(S.DestV(NAME))
     for _ in range(DEPTH):
         t = S.CaseSum(UNIT, S.Var("s"), "a", t, "b", S.Val(S.DestV(NAME)))
-    problems = []
-    assert H._count_occ(t, NAME, S.DestV, problems) == 1 and problems == []
+    assert H._occurrences(t) == ({(NAME, S.DestV): 1}, {})
+    uneven = S.CaseSum(UNIT, S.Var("s"), "a", t, "b", S.Val(S.UnitV()))
+    assert H._occurrences(uneven) == ({(NAME, S.DestV): 1}, {
+        (NAME, S.DestV): ["case branches mention name %d unevenly (1 vs 0)" % NAME]})
 
 
 def test_step_opens_a_deep_structure():
