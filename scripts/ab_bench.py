@@ -5,7 +5,8 @@
 
 Exports the parent into a temporary directory (`git archive`, removed
 afterwards) and runs `perfbench/run.py` of each tree, parent and change (this checkout,
-as it is on disk), on every workload BENCHMARK.json lists, one seed at a time
+as it is on disk), on every workload BENCHMARK.json lists (or on those named by
+`--workloads`, to iterate on a subset; a committed file runs them all), one seed at a time
 with the order alternating from seed to seed: untraced runs of the length
 BENCHMARK.json sets, the same on both sides.  For each workload and end-to-end
 metric the output keeps both sides' values, medians
@@ -91,7 +92,7 @@ def bench(parent_tree, args, spec):
            "cpus": os.cpu_count(), "run_seconds": seconds, "seeds": args.seeds,
            "order": "even positions run the parent first, odd ones the change",
            "workloads": {}}
-    for workload in (w["name"] for w in spec["workloads"]):
+    for workload in args.workloads:
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(args.seeds):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
@@ -134,6 +135,9 @@ def main():
     ap.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
     ap.add_argument("--out", required=True)
+    names = [w["name"] for w in spec["workloads"]]
+    ap.add_argument("--workloads", nargs="+", choices=names, default=names, metavar="NAME",
+                    help="the workloads to run, of %s (default: all)" % ", ".join(names))
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="ab_bench_") as tree:
         archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,

@@ -7,28 +7,31 @@ node as a frame and focuses on the slot's term; never fires when that term
 is already a value), unfocusing (U, pops a frame and plugs the value focus
 into its slot) and contraction (C, rewrites a redex).  One frame table,
 keyed on the node class and the slot, gives each frame its focusing and
-unfocusing rules and its printed form.  Fresh hole names come from max-based formulas over
-the names in the context, so runs are fully deterministic.  Each rule is
-one entry of a table, found by the type of the focus, or by the top frame
-when the focus is a value.
+unfocusing rules and its printed form; a frame carries its entry.  Fresh
+hole names come from max-based formulas over the names in the context, so
+runs are fully deterministic.  Each rule is one entry of a table, found by
+the type of the focus, or by the top frame when the focus is a value.
 
 Cost model.  While it runs, the machine keeps the structure under
 construction of each open ampar as a heap of hole cells indexed by hole
 name, as Minamide's data structures with a hole do: a destination write
-touches one cell.  Opening or grafting a closed ampar renames only its
-unfilled holes and its right-hand value; ages forbid an ampar's own
-destinations inside its own structure, so there are no other occurrences.
-The largest hole name of each open structure is tracked exactly, so every
-minted numeral is the one the max-based formulas give.  `run` keeps the
-origin and the rule names only: the `Command` of each step is built when
-someone reads `trace.steps`, by stepping again from the origin.  Classic
-`syntax` values and `Command`s are all that leaves the machine; a closed
-ampar it built reads its `left` from its cells on first access.  A
-substitution rebuilds the nodes on the paths to its variable only, and
-stores on each the free variables and the largest hole name that later
-steps read.  The hole-name walks (names, shifts, cells of a structure,
-canonical renaming) are visitors on `syntax.walk`, which keeps its own
-stack, so deep values and terms do not exhaust Python's recursion limit.
+touches one cell.  `new*` builds its structure as one such cell.  Opening
+or grafting a closed ampar renames only its unfilled holes and its
+right-hand value; ages forbid an ampar's own destinations inside its own
+structure, so there are no other occurrences.  One with no holes renames
+nothing and shares its cells, which nothing writes.  The largest hole name
+of each open structure is tracked exactly, so every minted numeral is the
+one the max-based formulas give.  `run` keeps the origin and the rule
+names only: the `Command` of each step is built when someone reads
+`trace.steps`, by stepping again from the origin.  Classic `syntax` values
+and `Command`s are all that leaves the machine; a closed ampar it built
+reads its `left` from its cells on first access.  A substitution rebuilds
+the nodes on the paths to its variable only, and stores on each the free
+variables and the largest hole name that later steps read.  Each `Fix`
+node is unrolled once, and keeps its unrolling.  The hole-name walks
+(names, shifts, cells of a structure, canonical renaming) are visitors on
+`syntax.walk`, which keeps its own stack, so deep values and terms do not
+exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -53,19 +56,20 @@ class Frame:
 
     `fields` are the node's constructor fields in `syntax.layout` order,
     stamps included, with None at index `slot`, the field the focus came
-    from, so a frame keeps nothing of its focus alive.  A frame is made
-    once, by the focusing rule that pushes it, and shared by every later
-    command.
+    from, so a frame keeps nothing of its focus alive.  `kind` is its entry
+    of the frame table, which holds its rules.  A frame is made once, by
+    the focusing rule that pushes it, and shared by every later command.
     """
 
-    __slots__ = ("cls", "fields", "slot")
+    __slots__ = ("cls", "fields", "slot", "kind")
 
     def __init__(self, cls, fields: tuple, slot: int):
         self.cls, self.fields, self.slot = cls, fields, slot
+        self.kind = FRAMES[cls, slot]
 
     def kids(self) -> list:
         """The node's term children other than the slot."""
-        return [self.fields[i] for i in FRAMES[self.cls, self.slot].others]
+        return [self.fields[i] for i in self.kind.others]
 
     def __eq__(self, other):  # as the nodes compare: positions and stamps aside
         if type(other) is not Frame:
@@ -84,7 +88,7 @@ def plug(frame: Frame, t, child=None):
     fields = list(frame.fields)
     fields[frame.slot] = t
     if child is not None:
-        for i in FRAMES[frame.cls, frame.slot].others:
+        for i in frame.kind.others:
             fields[i] = child(fields[i])
     return frame.cls(*fields)
 
@@ -173,7 +177,8 @@ def hnames(x) -> set:
 
 
 def hmax_value(x) -> int:
-    """The largest hole name in a value or term, 0 if none; kept on each node as `_hmax`.
+    """The largest hole name in a value or term, 0 if none; kept on each node as `_hmax`
+    (a hole, destination or unit at the root reads it off instead).
 
     The walk keeps its own stack, so deep values and terms cannot exhaust
     Python's recursion limit.  It reads the children `syntax.parts` lists,
@@ -182,6 +187,11 @@ def hmax_value(x) -> int:
     m = x.__dict__.get("_hmax")
     if m is not None:
         return m
+    t = type(x)
+    if t is S.DestV or t is S.HoleV:  # most values a rule puts in: no walk
+        return x.hole
+    if t is S.UnitV:
+        return 0
     stack = [x]
     while stack:
         node = stack[-1]
@@ -225,6 +235,9 @@ def cond_shift(x, holes, d: int):
     """
     if d == 0 or not holes:
         return x
+    t = type(x)
+    if t is S.DestV or t is S.HoleV:  # most right values: no walk
+        return t(x.hole + d) if x.hole in holes else x
 
     def enter(node, bound):
         t = type(node)
@@ -325,9 +338,9 @@ def _subst(t, fv, x, r, is_value, r_hmax, r_fv, also=None):
     h = t.__dict__.get("_hmax")
     if h is None:
         h = hmax_value(t)
-    fv = fv - {x}
+    fv = fv - {x} if len(fv) > 1 else _NO_VARS  # x is in fv
     if also is not None:
-        fv = fv - {also[0]}
+        fv = fv - {also[0]} if len(fv) > 1 else _NO_VARS  # so is y
         h = max(h, also[2])
     d = node.__dict__
     d["_fv"] = fv | r_fv if r_fv else fv
@@ -366,6 +379,9 @@ def _hollow_children(v):
 
 def read_structure(root: Cell, holes: dict):
     """The classic value a structure denotes; the cells of `holes` (name -> cell) read as holes."""
+    v = root.value
+    if not holes and v is not None and type(v) is not Cell and _hollow_children(v) is None:
+        return v  # one written cell: its leaf as it is
     names = {c: n for n, c in holes.items()}
     out, todo = [], [root]
     while todo:
@@ -403,7 +419,8 @@ class Shape:
 
     `S.AmparV.left` reads it on first access.  An unrestricted ampar can be
     opened more than once, so only the first open or graft writes these
-    cells in place (`taken`); later ones work on a copy.  Reading never
+    cells in place (`taken`); later ones work on a copy, unless the ampar
+    has no holes and so no cell to write.  Reading never
     looks past the ampar's own hole cells, so writes through the first
     open leave what this ampar denotes unchanged.
     """
@@ -532,7 +549,7 @@ class _State:
 
     def push(self, frame: Frame, focus):
         m, fields = self.maxes[-1], frame.fields
-        for i in FRAMES[frame.cls, frame.slot].others:
+        for i in frame.kind.others:
             h = hmax_value(fields[i])
             if h > m:
                 m = h
@@ -608,6 +625,11 @@ def _renamed(av, d: int):
     """A closed ampar's cells, ready to be written, with its names shifted by d:
     (root, {name: cell}, static, shifted right value)."""
     shape = av.__dict__.get("_shape")
+    if not av.holes:  # no cell of it is ever written, so its cells can be shared
+        if shape is not None:
+            return shape.root, {}, shape.static, av.right
+        left = av.left
+        return Cell(left), {}, hmax_value(left), av.right
     if shape is not None and not shape.taken:
         shape.taken = True
         root, cells, static = shape.root, shape.cells, shape.static
@@ -628,7 +650,7 @@ def _rule_for(top, t):
     deterministic by construction."""
     if type(t) is S.Val:
         if type(top) is Frame:
-            return FRAMES[top.cls, top.slot].unfocus
+            return top.kind.unfocus
         return None if top is None else _CLOSE
     match = _MATCH.get(type(t))
     return None if match is None else match(t)
@@ -802,9 +824,15 @@ def _match_from(t):
     return None
 
 
+def _left(av):
+    """A closed ampar's structure: `av.left`, read without the `__getattr__` detour."""
+    d = av.__dict__
+    return d["left"] if "left" in d else d["_shape"].read()
+
+
 _FROM_F = _focus(S.FromAmpar, "inner")
 _FROM_C = ("⋉FROMC", lambda st, t: st.refocus(
-    S.Val(S.PairV(t.inner.value.left, t.inner.value.right))))
+    S.Val(S.PairV(_left(t.inner.value), t.inner.value.right))))
 
 
 def _match_from_prime(t):
@@ -815,7 +843,7 @@ def _match_from_prime(t):
 
 
 _FROMP_F = _focus(S.FromAmparPrime, "inner")
-_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(t.inner.value.left)))
+_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(_left(t.inner.value))))
 
 
 def _match_fill_comp(t):
@@ -846,9 +874,24 @@ _LEAF_F2 = _focus(S.FillLeaf, "arg")
 _LEAF_C = ("[]E_LC", _fill_leaf)
 
 
-_NEW = ("⋉NEWC", lambda st, t: st.refocus(
-    S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))))
-_FIX = ("fixC", lambda st, t: st.refocus(subst_var(t.body, t.var, t)))
+_ONE = frozenset({1})
+
+
+def _new(st, t):
+    root = Cell()
+    st.refocus(S.Val(S.AmparV.with_shape(_ONE, Shape(root, {1: root}, 0), S.DestV(1))))
+
+
+def _unroll(st, t):
+    # a `Fix` node is immutable, so its unrolling is made once and kept on it
+    body = t.__dict__.get("_unrolled")
+    if body is None:
+        body = t.__dict__["_unrolled"] = subst_var(t.body, t.var, t)
+    st.refocus(body)
+
+
+_NEW = ("⋉NEWC", _new)
+_FIX = ("fixC", _unroll)
 _TO_F = _focus(S.ToAmpar, "inner")
 _TO_C = ("⋉TOC", lambda st, t: st.refocus(
     S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))

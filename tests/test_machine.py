@@ -42,6 +42,8 @@ def test_worked_trace_hole_numerals():
 def test_new_ampar_rule():
     res = M.step(M.Command((), S.NewAmpar(None)))
     assert isinstance(res, M.Stepped) and res.rule == "⋉NEWC"
+    amp = res.command.focus.value
+    assert "_shape" in amp.__dict__ and "left" not in amp.__dict__  # built as one cell
     assert res.command.focus == S.Val(S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1)))
 
 
@@ -144,6 +146,10 @@ def test_subst_unrolls_fix():
     assert M.subst_var(inner, "f", fx) is inner
     res = M.step(M.Command((), fx))
     assert res.rule == "fixC" and res.command.focus == out
+    # the unrolling is made once per `Fix` node and kept on it
+    again = M.step(M.Command((), fx))
+    assert again.command.focus is res.command.focus
+    _stored_caches_hold(res.command.focus)
 
 
 def test_free_vars_share_sets():
@@ -227,6 +233,48 @@ def test_shared_ampar_opens_independently():
     assert first.value == S.AmparV(frozenset({5}), S.InlV(S.HoleV(5)), S.DestV(5))
     assert second.value == S.UnitV()
     assert res.value == S.AmparV(frozenset({2}), S.HoleV(2), S.DestV(2))
+    # the same for the one cell `new*` builds
+    new = M.run_term(S.NewAmpar(None), 10).value
+    shape = new.__dict__["_shape"]
+    fill = S.UpdWith(S.Val(new), "d", S.FillInl(S.Var("d")))
+    first = M.run_term(fill, 100)
+    assert shape.taken and type(shape.root.value) is S.InlV  # written in place
+    second = M.run_term(fill, 100)
+    assert first.value == second.value == S.AmparV(frozenset({4}), S.InlV(S.HoleV(4)), S.DestV(4))
+    assert first.value.__dict__["_shape"].root is shape.root
+    assert second.value.__dict__["_shape"].root is not shape.root  # a copy
+    assert new == S.AmparV(frozenset({1}), S.HoleV(1), S.DestV(1))
+
+
+def test_holeless_open_renames_and_copies_nothing():
+    # opening an ampar with no holes renames nothing; value and rules are as before
+    v = S.PairV(S.UnitV(), S.InrV(S.UnitV()))
+    built = M.run_term(S.UpdWith(S.ToAmpar(S.Val(v)), "u", S.Var("u")), 100)
+    assert [r for r, _ in built.trace.steps] == ["⋉UPDF", "⋉TOC", "⋉UPDU", "⋉OP", "⋉CL"]
+    assert built.value == S.AmparV(frozenset(), v, S.UnitV())
+    opened = ["⋉OP", "⋉CL", "⋉FROM′U", "⋉FROM′C"]
+    for amp, rules in ((S.ToAmpar(S.Val(v)), ["⋉FROM′F", "⋉UPDF", "⋉TOC", "⋉UPDU"] + opened),
+                       (S.Val(built.value), ["⋉FROM′F"] + opened),
+                       (S.Val(built.value), ["⋉FROM′F"] + opened)):
+        res = M.run_term(S.FromAmparPrime(S.UpdWith(amp, "u", S.Var("u"))), 100)
+        assert [r for r, _ in res.trace.steps] == rules
+        assert res.value is v
+    root = built.value.__dict__["_shape"].root
+    for _ in range(2):  # no cell of it is ever written, so no open copies it
+        again = M.run_term(S.UpdWith(S.Val(built.value), "u", S.Var("u")), 100)
+        assert again.value.__dict__["_shape"].root is root
+    # under an open ampar with a live hole, nothing is renamed either
+    ctx = (M.OpenAmpar(frozenset({4}), S.HoleV(4)),)
+    res = M.step(M.Command(ctx, S.UpdWith(S.Val(built.value), "u", S.Var("u"))))
+    assert res.rule == "⋉OP" and res.command.ctx[-1] == M.OpenAmpar(frozenset(), v)
+    assert res.command.focus == S.Val(S.UnitV())
+
+
+def test_read_structure_returns_a_written_leaf():
+    leaf = S.InlV(S.PairV(S.UnitV(), S.DestV(3)))
+    assert M.read_structure(M.Cell(leaf), {}) is leaf
+    hole = M.Cell(leaf)  # a written cell still named as a hole reads as that hole
+    assert M.read_structure(hole, {2: hole}) == S.HoleV(2)
 
 
 def test_run_keeps_no_commands():
