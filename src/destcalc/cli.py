@@ -52,7 +52,7 @@ def print_component(e, forms=None) -> str:
     if isinstance(e, M.OpenAmpar):
         hs = " ".join("#%d" % h for h in sorted(e.holes))
         return "{%s}op/ %s, [] /" % (hs, print_value(e.left, 0, forms))
-    kind = M.FRAMES[e.cls, e.slot]
+    kind = e.kind
     return kind.fmt.format_map({n: _Field(x, forms) for n, x in zip(kind.names, e.fields)})
 
 
@@ -218,7 +218,7 @@ def _main(args) -> int:
         shown = Shown()
         for i, (rule, cmd) in enumerate(res.trace.steps, start=1):
             entry = {"i": i, "rule": rule, "command": print_command(cmd, shown)}
-            if args.verify and verdicts is not None and verdicts["preservation"]:
+            if verdicts is not None and verdicts["preservation"]:
                 entry["type"] = print_type(main_ty)
             steps_doc.append(entry)
         doc["steps"] = steps_doc

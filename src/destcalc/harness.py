@@ -60,7 +60,6 @@ def check_progress_determinism(tr: M.Trace) -> Verdict:
     failures = []
     commands = list(_trace_commands(tr))
     for idx, (i, cmd) in enumerate(commands):
-        is_last = idx == len(commands) - 1
         final = M.is_val(cmd.focus) and not cmd.ctx
         rules = M.applicable_rules(cmd)
         if final:
@@ -73,7 +72,7 @@ def check_progress_determinism(tr: M.Trace) -> Verdict:
         if len(rules) > 1:
             failures.append((i, "determinism violation: %s" % [n for n, _ in rules]))
             continue
-        if not is_last and idx + 1 < len(commands):
+        if idx + 1 < len(commands):
             recorded = tr.steps[idx][0]
             if recorded != rules[0][0]:
                 failures.append((i, "recorded rule %s but scan finds %s" % (recorded, rules[0][0])))

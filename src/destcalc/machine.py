@@ -82,14 +82,10 @@ class Frame:
         return "Frame(%r, slot=%d)" % (plug(self, None), self.slot)
 
 
-def plug(frame: Frame, t, child=None):
-    """The node `frame` stands for, with t in its slot.  `child`, when given,
-    is applied to each of the node's other term children."""
+def plug(frame: Frame, t):
+    """The node `frame` stands for, with t in its slot."""
     fields = list(frame.fields)
     fields[frame.slot] = t
-    if child is not None:
-        for i in frame.kind.others:
-            fields[i] = child(fields[i])
     return frame.cls(*fields)
 
 

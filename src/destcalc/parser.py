@@ -1,6 +1,6 @@
 """Recursive-descent parser for `.ld` sources.
 
-A file is a sequence of `type` and `def` items plus an optional
+A file is a sequence of `type` and `def` items plus at most one
 `main = name`.  Comments run from `--` to end of line.  The operator
 spellings are the fixed ASCII table used by the printer; identifiers
 start with a letter (names starting with `_` are reserved for the
@@ -473,6 +473,8 @@ class Parser:
             elif self.at_word("main"):
                 self.next()
                 self.eat_sym("=")
+                if prog.main is not None:
+                    raise ParseError(t.pos, "one 'main' (it is given twice)")
                 prog.main = self.eat_name().text
             else:
                 raise ParseError(t.pos, "'type', 'def' or 'main'")

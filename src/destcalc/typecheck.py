@@ -21,11 +21,12 @@ typing the component produced from its slot's.  The next command reuses
 the levels of the longest prefix of components that are the same objects,
 types the later components down to their slots and the focus at its slot,
 and re-types upwards only until a reused level's slot typing is unchanged.
-The terms a frame holds besides its slot and the bodies of lambda values
-are typed once per typing context while the checker lives, and the typing
-of a closed term is kept on the term itself, in whatever context it was
-typed, so a shared library term is typed once per type environment, not
-once per request or once per definition that inlines it.
+Besides those levels, the checker keeps only the typing of a closed term,
+on the term itself, in whatever context it was typed, so a shared library
+term is typed once per type environment, not once per request or once per
+definition that inlines it.  A component's other terms and the bodies of
+lambda values that read a binding are typed again whenever their
+component is.
 """
 
 from __future__ import annotations
@@ -300,11 +301,6 @@ class Checker:
         self.stats = stats if stats is not None else CheckStats()
         self.mode_strict = mode_strict  # False: elaborate types, ignore modes
         self.type_log = type_log  # id(node) -> synthesized type, when set
-        # Consecutive commands of a trace share their context components and
-        # the lambda values in them, so what depends only on such an object is
-        # kept here while this checker lives.  Entries hold the object whose id
-        # is their key, so that id cannot be reused.
-        self._memo = {}  # see `_infer_memo`
         self._levels: List[_Level] = []  # the last command checked by levels, outermost first
         self._expected = None  # the type that command was checked against
 
@@ -795,9 +791,6 @@ class Checker:
                 out[k] = frozenset(m for m in s if m == MANY_INF)
             return t.ann, out
 
-        if isinstance(t, _Memo):
-            return self._infer_memo(gamma, t.term, exp)
-
         if isinstance(t, OpenFocus):
             return self._infer_open(gamma, t, exp)
 
@@ -865,32 +858,6 @@ class Checker:
             t.ann = S.TAmpar(left, S.TDest(UNIT, left))
         out = S.TAmpar(left, S.TDest(UNIT, left))
         return self.conform(out, exp, t), {}
-
-    def _infer_memo(self, gamma, t, exp):
-        """Infer a term that recurs from command to command, once per key.
-
-        These are the terms frames hold besides their slot and the bodies of
-        lambda values.  The result is a function of the term (of its value,
-        for a `Val`), the expected type and the bindings it can read: those
-        of its free variables and of the hole names up to its largest one.
-        Failures are not kept.
-        """
-        if self.type_log is not None:
-            return self.infer(gamma, t, exp)
-        x = t.value if type(t) is S.Val else t
-        top = M.hmax_value(t)
-        key = (
-            id(x), exp,
-            tuple((v, gamma.get(v)) for v in M.free_vars_cached(t)),
-            frozenset((h, b) for h, b in gamma.items() if type(h) is int and h <= top),
-        )
-        hit = self._memo.get(key)
-        if hit is not None:
-            _, ty, usage = hit
-            return ty, dict(usage)
-        ty, usage = self.infer(gamma, t, exp)
-        self._memo[key] = (x, ty, dict(usage))
-        return ty, usage
 
     def _infer_open(self, gamma, t: OpenFocus, exp):
         """The structure is typed once per node, whatever `inner` then holds."""
@@ -1039,7 +1006,7 @@ class Checker:
             v.param_ty_ = dom
             g = {k: b for k, b in theta.items() if isinstance(b, DestB)}
             g[v.var] = VarB(v.mode, dom)
-            cod, bu = self._infer_memo(g, v.body, cod_exp)
+            cod, bu = self.infer(g, v.body, cod_exp)
             bu = self._pop_binder(bu, v.var, v.mode, dom, None)
             for k in bu:
                 if isinstance(k, str):
@@ -1148,30 +1115,22 @@ class _Slot:
     pos = None
 
 
-@dataclass
-class _Memo:
-    """Internal node: a term a frame holds besides its slot, inferred via `_infer_memo`."""
-
-    term: object
-    pos = None
-
-
 # never typed from a kept entry: the checker's own nodes, which are made anew
 # for every check or level, and variables, which always read their binding
-_UNKEPT = (_Slot, _Memo, OpenFocus, S.Var)
+_UNKEPT = (_Slot, OpenFocus, S.Var)
 
 
 _WRAPPER = "wrapper"  # the `_typed_` mark of a node `_wrap` made
 
 
 def _wrap(comp, term):
-    """The node of context component `comp` around `term`: a frame's node,
-    whose other term children are read through the memo, or an open ampar's
-    `OpenFocus`.  A frame's node is made anew for every pass over the
-    component and never read again, so it is marked to keep no typing."""
+    """The node of context component `comp` around `term`: a frame's node
+    or an open ampar's `OpenFocus`.  A frame's node is made anew for every
+    pass over the component and never read again, so it is marked to keep
+    no typing."""
     if type(comp) is M.OpenAmpar:
         return OpenFocus(comp.holes, comp.left, term)
-    node = M.plug(comp, term, _Memo)
+    node = M.plug(comp, term)
     node.__dict__["_typed_"] = _WRAPPER
     return node
 

@@ -56,6 +56,15 @@ def test_parse_errors_carry_position():
         parse_term("case x of")
     with pytest.raises(ParseError):
         parse_term("_hidden")  # leading underscore is reserved
+    # a name given twice is refused at the line of its second item
+    for src in (
+        "type A = 1\ndef x : 1 = ()\ntype A = 1 + 1",
+        "def x : 1 = ()\ntype A = 1\ndef x : 1 = ()",
+        "def x : 1 = ()\nmain = x\nmain = x",
+    ):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert e.value.position[0] == 3, src
 
 
 def test_program_items():

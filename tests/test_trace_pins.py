@@ -136,7 +136,8 @@ def test_applicable_rules_follow_the_run(programs, name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_stored_caches_match_a_recomputation(programs, name):
-    # the checker's memo keys read `_fv` and `_hmax`: a wrong one would make it unsound
+    # substitution and the hole walks read the stored `_fv` and `_hmax`: a wrong
+    # one would make them unsound
     origin, steps = _commands(programs[name])
     seen, fv_memo, hmax_memo, checked = set(), {}, {}, 0
     for cmd in [origin] + [cmd for _, cmd in steps]:

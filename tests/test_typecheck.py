@@ -178,8 +178,8 @@ def test_dest_coercion_counter(ck):
     assert isinstance(ck.tyenv.head(ty), S.TDest)
     assert ck.stats.dest_coercions == 1
     # a lambda that fills the destination, checked twice on one checker: the
-    # second check types its body from the memo, and no cache may swallow
-    # the coercion or count it again
+    # second check types its body afresh, and no cache may swallow the
+    # coercion or count it again
     ck = Checker(ck.tyenv)
     lam = S.LamV("x", UNIT, S.Seq(S.Var("x"), S.FillUnit(S.Val(S.DestV(7)))))
     theta = {7: DestB(MANY_INF, S.TUnit(), UNIT)}
