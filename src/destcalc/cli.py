@@ -87,9 +87,8 @@ def print_command(cmd: M.Command, shown: Shown = None) -> str:
     return "(%s)[%s]" % (" o ".join(parts), print_term(cmd.focus, 0, forms))
 
 
-def _decoded(value, main_ty, env) -> str:
+def _decoded(value, ty) -> str:
     """Decode Nat/Bool/List-of-Nat results; print raw values otherwise."""
-    ty = main_ty
     try:
         if isinstance(ty, S.TNamed) and ty.name == "Nat" and not ty.args:
             return str(H.decode_nat(value))
@@ -141,7 +140,7 @@ def _main(args) -> int:
     try:
         env = P.load_source(src, base=P.load_prelude())
     except ParseError as e:
-        print("parse error: %s" % e, file=sys.stderr)
+        print(e, file=sys.stderr)
         return EXIT_PARSE
     except TypeCheckError as e:
         print("type error [%s]: %s" % (e.kind, e), file=sys.stderr)
@@ -233,7 +232,7 @@ def _main(args) -> int:
 
     if isinstance(res, M.Finished):
         if args.command == "run":
-            print(_decoded(res.value, main_ty, env))
+            print(_decoded(res.value, main_ty))
         else:
             print(print_value(res.value))
     return exit_code

@@ -70,12 +70,12 @@ def check_progress_determinism(tr: M.Trace) -> Verdict:
             failures.append((i, "stuck: no rule applies"))
             continue
         if len(rules) > 1:
-            failures.append((i, "determinism violation: %s" % [n for n, _ in rules]))
+            failures.append((i, "determinism violation: %s" % rules))
             continue
         if idx + 1 < len(commands):
             recorded = tr.steps[idx][0]
-            if recorded != rules[0][0]:
-                failures.append((i, "recorded rule %s but scan finds %s" % (recorded, rules[0][0])))
+            if recorded != rules[0]:
+                failures.append((i, "recorded rule %s but scan finds %s" % (recorded, rules[0])))
     return Verdict.from_failures(failures)
 
 

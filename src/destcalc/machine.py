@@ -36,12 +36,11 @@ exhaust Python's recursion limit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .modes import ONE_INF
 from . import syntax as S
@@ -926,23 +925,14 @@ _MATCH = {
 }
 
 
-def applicable_rules(cmd: Command) -> List[Tuple[str, Callable[[], Command]]]:
-    """The rules whose left-hand side matches the command, each with a thunk for its result.
+def applicable_rules(cmd: Command) -> List[str]:
+    """The names of the rules whose left-hand side matches the command.
 
     The run and this scan read the same rule table, which holds at most
     one rule per command; the final command has none.
     """
     rule = _rule_for(cmd.ctx[-1] if cmd.ctx else None, cmd.focus)
-    if rule is None:
-        return []
-    name, act = rule
-    return [(name, functools.partial(_apply, cmd, act))]
-
-
-def _apply(cmd: Command, act) -> Command:
-    st = _State.load(cmd)
-    act(st, cmd.focus)
-    return st.snapshot()
+    return [] if rule is None else [rule[0]]
 
 
 def step(cmd: Command):

@@ -86,7 +86,7 @@ class TypeDef:
 @dataclass
 class TermDef:
     name: str
-    ann: Optional[object]
+    ann: object
     body: object
     pos: Tuple[int, int] = field(default=(0, 0), compare=False)
 

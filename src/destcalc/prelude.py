@@ -11,9 +11,10 @@ checker serves it whole and a load types each definition's own code once.
 A program that declares no types shares its base's type environment; one
 that declares types gets a new one, so its references are desugared and
 typed afresh.  Recursive functions must use `fix` explicitly.  The
-prelude's `.ld` sources are packaged next to this module; expected-to-fail
-entries (the scope-escape counterexamples) are validated to fail with the
-right diagnostic at load time.
+prelude's `.ld` sources are packaged next to this module.  Tier-1 (the
+test suite) checks the library's declared types and that both scope-escape
+counterexamples (`scope_escape2.ld`, `scope_escape3.ld`) are rejected with
+`AgeEscape`.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from . import machine as M
 from . import syntax as S
-from .parser import Program, TermDef, TypeDef, parse
+from .parser import Program, TermDef, parse
 from .typecheck import Checker, CheckStats, TypeCheckError, TypeEnv
 
 
 @dataclass
 class LoadedDef:
     name: str
-    ann: Optional[object]
+    ann: object
     sugar: object  # inlined, still-sugared body
     core: object  # desugared, elaborated body (from'* kept primitive)
     ty: object
@@ -81,8 +81,6 @@ def _inline(t, defs: Dict[str, LoadedDef]):
         d = defs.get(v.name)
         if d is None:
             return v
-        if d.ann is None:
-            return d.sugar
         out = S.Annot(d.sugar, d.ann, pos=v.pos)
         out.__dict__["_def_"] = d  # lets `load_program` put in the checked core
         return out
@@ -90,11 +88,7 @@ def _inline(t, defs: Dict[str, LoadedDef]):
     return S.map_free_vars(t, use)
 
 
-def load_program(
-    prog: Program,
-    base: Optional[ProgramEnv] = None,
-    check: bool = True,
-) -> ProgramEnv:
+def load_program(prog: Program, base: Optional[ProgramEnv] = None) -> ProgramEnv:
     """Inline, desugar and check every definition of a parsed program.
 
     A program that declares no types shares its base's type environment,
@@ -119,16 +113,14 @@ def load_program(
         inlined = _inline(d.body, env.defs)
         fresh = S.FreshNames()
         core = S.desugar(inlined, fresh, known)
-        ty = d.ann
-        if check:
-            ty = checker.check_term({}, core, d.ann)
+        ty = checker.check_term({}, core, d.ann)
         env.defs[d.name] = LoadedDef(d.name, d.ann, inlined, core, ty, fresh.count, tyenv)
         env.order.append(d.name)
     return env
 
 
-def load_source(src: str, base: Optional[ProgramEnv] = None, check: bool = True) -> ProgramEnv:
-    return load_program(parse(src), base=base, check=check)
+def load_source(src: str, base: Optional[ProgramEnv] = None) -> ProgramEnv:
+    return load_program(parse(src), base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -158,29 +150,6 @@ POST_FILES = [
     "relabel.ld",
     "sharing.ld",
 ]
-
-# name -> declared type, for load-time validation of the library surface
-EXPECTED_TYPES = {
-    "map": "(T -o U) -o[w inf] List T -o List U",
-    "map'": "(T -o U) -o[w inf] List T -o[1 ^1] Dest (List U) -o 1",
-    "cons": "T -o List T -o List T",
-    "append": "DList T -o T -o DList T",
-    "concat": "DList T -o DList T -o DList T",
-    "toList": "DList T -o List T",
-    "singleton": "T -o Queue T",
-    "enqueue": "Queue T -o T -o Queue T",
-    "dequeue": "Queue T -o 1 + (T * Queue T)",
-    "alloc": "(Dest T -o 1) -o[1 inf] T",
-    "relabelDps": "Tree 1 -o[1 inf] Tree Nat",
-    "sharing": "List Nat",
-}
-
-# scope-escape counterexamples live in their own sources and must be rejected
-EXPECTED_FAILURES = [
-    ("scope_escape2.ld", "AgeEscape"),
-    ("scope_escape3.ld", "AgeEscape"),
-]
-
 
 def _read(name: str) -> str:
     return importlib.resources.files(__package__).joinpath("prelude", name).read_text()
@@ -227,21 +196,19 @@ def instantiate(progs: List[Program], ty_args: Dict[str, str], suffix: str) -> P
     out = Program()
     for p in progs:
         for d in p.term_defs:
-            ann = _subst_type(d.ann, tymap) if d.ann is not None else None
             body = _subst_types_in_term(_rename_refs(d.body, rename), tymap)
-            out.term_defs.append(TermDef(rename[d.name], ann, body, d.pos))
+            out.term_defs.append(TermDef(rename[d.name], _subst_type(d.ann, tymap), body, d.pos))
     return out
 
 
-def load_prelude(check: bool = True) -> ProgramEnv:
+def load_prelude() -> ProgramEnv:
     """Parse, desugar and check every prelude entry; abort on any failure."""
     env: Optional[ProgramEnv] = None
     parsed: Dict[str, Program] = {}
 
     def step(fname, prog):
-        nonlocal env
         try:
-            return load_program(prog, base=env, check=check)
+            return load_program(prog, base=env)
         except TypeCheckError as e:
             raise TypeCheckError(e.kind, "prelude %s: %s" % (fname, e), pos=e.pos, **e.info)
 
@@ -253,29 +220,4 @@ def load_prelude(check: bool = True) -> ProgramEnv:
         env = step("instance %s" % suffix, inst)
     for fname in POST_FILES:
         env = step(fname, parse(_read(fname)))
-    if check:
-        from .parser import parse_type
-
-        checker = env.checker()
-        for name, ty_src in EXPECTED_TYPES.items():
-            want = parse_type(ty_src)
-            got = env.defs[name].ty
-            if not checker.tyenv.equal(got, want):
-                raise TypeCheckError(
-                    "TypeMismatch", "prelude %s loads at the wrong type" % name
-                )
-        for fname, kind in EXPECTED_FAILURES:
-            try:
-                load_source(_read(fname), base=env, check=True)
-            except TypeCheckError as e:
-                if e.kind != kind:
-                    raise TypeCheckError(
-                        e.kind,
-                        "prelude %s: expected %s but failed with %s" % (fname, kind, e),
-                        pos=e.pos,
-                    )
-            else:
-                raise TypeCheckError(
-                    "ArityOrFormError", "prelude %s: expected a %s rejection" % (fname, kind)
-                )
     return env

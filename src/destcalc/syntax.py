@@ -73,8 +73,6 @@ class TNamed:
 
 Type = Union[TUnit, TSum, TProd, TBang, TArrow, TDest, TAmpar, TNamed]
 
-UNIT_T = TUnit()
-
 
 # ---------------------------------------------------------------------------
 # Core terms.  `pos` and fields ending in an underscore (elaboration
@@ -387,8 +385,6 @@ class NatLit:
 Term = object  # core or sugar node; the union is open for internal markers
 
 SUGAR_NODES = (UnitS, InlS, InrS, PairS, ModS, LamS, FromPrimeS, NatLit)
-
-CASE_NODES = (CaseSum, CasePair, CaseBang)
 
 
 class FreshNames:

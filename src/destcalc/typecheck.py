@@ -169,11 +169,8 @@ class TypeEnv:
                 return len(ha.args) == len(hb.args) and all(
                     self.equal(x, y, _seen) for x, y in zip(ha.args, hb.args)
                 )
-            if isinstance(ha, S.TNamed) and isinstance(hb, S.TNamed):
-                return False
-            # one side still opaque, the other structural
-            if isinstance(ha, S.TNamed) or isinstance(hb, S.TNamed):
-                return False
+            # two different names, or one side still opaque, the other structural
+            return False
         if type(ha) is not type(hb):
             return False
         if isinstance(ha, S.TUnit):
@@ -585,7 +582,7 @@ class Checker:
                     t, holes=free,
                 )
             theta = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
-            ty, u = self.infer_value(theta, t.value, exp, _OwnScopes([]), gamma=gamma)
+            ty, u = self.infer_value(theta, t.value, exp, _OwnScopes([]))
             return ty, u
 
         if isinstance(t, S.App):
@@ -703,7 +700,7 @@ class Checker:
             return self.conform(amp.left, exp, t), u
 
         if isinstance(t, S.NewAmpar):
-            return self._infer_new(gamma, t, exp)
+            return self._infer_new(t, exp)
 
         if isinstance(t, S.FillUnit):
             dty, du = self.infer(gamma, t.dest, None)
@@ -832,9 +829,8 @@ class Checker:
         t.scrut_ty_ = sty
         return sty, su
 
-    def _infer_new(self, gamma, t, exp):
+    def _infer_new(self, t, exp):
         ann = t.ann
-        left = None
         if ann is not None:
             amp = self._as(ann, S.TAmpar, t, "an ampar annotation")
             dest = self.tyenv.head(amp.right)
@@ -866,7 +862,7 @@ class Checker:
             own = _OwnScopes([])
             own.push(t.holes)
             theta = {k: b for k, b in gamma.items() if isinstance(b, DestB)}
-            lty, lu = self.infer_value(theta, t.left, left_exp, own, gamma=gamma)
+            lty, lu = self.infer_value(theta, t.left, left_exp, own)
             scope = own.pop()
             delta3 = self._resolve_own_holes(t.holes, scope, lu, t)
             lu = {k: s for k, s in lu.items() if k not in t.holes}
@@ -914,7 +910,7 @@ class Checker:
 
     # -- value inference ---------------------------------------------------------
 
-    def infer_value(self, theta, v, exp, own: "_OwnScopes", gamma=None):
+    def infer_value(self, theta, v, exp, own: "_OwnScopes"):
         """Type a runtime value in Theta (hole/destination bindings).
 
         `own` carries the nested ampar scopes whose hole types are being
@@ -961,7 +957,7 @@ class Checker:
                 raise _Unsynthesizable(None, "sum injection with no expected type")
             sum_t = self._as(exp, S.TSum, None, "a sum type")
             side = sum_t.left if isinstance(v, S.InlV) else sum_t.right
-            _, u = self.infer_value(theta, v.value, side, own, gamma)
+            _, u = self.infer_value(theta, v.value, side, own)
             return exp, u
 
         if isinstance(v, S.PairV):
@@ -969,8 +965,8 @@ class Checker:
             if _exact(exp) is not None:
                 prod = self._as(exp, S.TProd, None, "a product type")
                 e1, e2 = prod.left, prod.right
-            t1, u1 = self.infer_value(theta, v.fst, e1, own, gamma)
-            t2, u2 = self.infer_value(theta, v.snd, e2, own, gamma)
+            t1, u1 = self.infer_value(theta, v.fst, e1, own)
+            t2, u2 = self.infer_value(theta, v.snd, e2, own)
             return self.conform(S.TProd(t1, t2), exp, None), u_add_value(u1, u2)
 
         if isinstance(v, S.ModV):
@@ -984,7 +980,7 @@ class Checker:
                         None, expected=bang.mode, got=v.mode,
                     )
                 inner_exp = bang.inner
-            ity, iu = self.infer_value(theta, v.value, inner_exp, own, gamma)
+            ity, iu = self.infer_value(theta, v.value, inner_exp, own)
             return self.conform(S.TBang(v.mode, ity), exp, None), u_image(v.mode, iu)
 
         if isinstance(v, S.LamV):
@@ -1017,13 +1013,13 @@ class Checker:
             left_exp, right_exp = self._amp_parts(exp, None)
             theta_in = {k: b for k, b in theta.items() if k not in v.holes}
             own.push(v.holes)
-            lty, lu = self.infer_value(theta_in, v.left, left_exp, own, gamma)
+            lty, lu = self.infer_value(theta_in, v.left, left_exp, own)
             scope = own.pop()
             delta3 = self._resolve_own_holes(v.holes, scope, lu, None)
             lu_foreign = {k: s for k, s in lu.items() if k not in v.holes}
             theta_r = dict(theta_in)
             theta_r.update(delta3)
-            rty, ru = self.infer_value(theta_r, v.right, right_exp, own, gamma)
+            rty, ru = self.infer_value(theta_r, v.right, right_exp, own)
             for h, b in delta3.items():
                 if h not in ru:
                     raise _err(

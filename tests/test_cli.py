@@ -9,7 +9,6 @@ import pytest
 from destcalc.prelude import prelude_path
 
 CONS = prelude_path("demos/cons_example.ld")
-SCOPE2 = prelude_path("scope_escape2.ld")
 
 
 def cli(*args):
@@ -37,10 +36,12 @@ def test_run_with_verify():
     assert r.stdout.strip() == "Inr ((), Inl ())"
 
 
-def test_type_error_exit_code():
-    r = cli("run", SCOPE2)
+@pytest.mark.parametrize("name", ["scope_escape2.ld", "scope_escape3.ld"])
+def test_type_error_exit_code(name):
+    # the library's scope-escape counterexamples reach users through the CLI
+    r = cli("run", prelude_path(name))
     assert r.returncode == 1
-    assert "AgeEscape" in r.stderr
+    assert "type error [AgeEscape]" in r.stderr
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -48,6 +49,8 @@ def test_parse_error_exit_code(tmp_path):
     f.write_text("def x : 1 = ((")
     r = cli("check", str(f))
     assert r.returncode == 2
+    # one line, the error's own text with its prefix once
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("parse error at 1:")
 
 
 def test_fuel_exhaustion_exit_code(tmp_path):

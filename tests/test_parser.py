@@ -224,4 +224,4 @@ def test_numeric_characters_beyond_decimal_digits_are_no_token(capsys, tmp_path)
     f = tmp_path / "sup.ld"
     f.write_text("def x : Nat = \u00b2\nmain = x\n", encoding="utf-8")
     assert cli.main(["check", str(f)]) == 2
-    assert capsys.readouterr().err == "parse error: parse error at 1:15: expected a token (found '\u00b2')\n"
+    assert capsys.readouterr().err == "parse error at 1:15: expected a token (found '\u00b2')\n"

@@ -7,12 +7,28 @@ from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.modes import UNIT
 from destcalc.parser import parse, parse_type
-from destcalc.prelude import EXPECTED_TYPES, load_prelude, load_source
+from destcalc.prelude import load_prelude, load_source
 from destcalc.typecheck import Checker, TypeCheckError
 
 from conftest import (
     app_chain, dlist_prog, layout_diff, reference_load_prelude, reference_load_program, run_ok,
 )
+
+# name -> declared type of the library surface
+EXPECTED_TYPES = {
+    "map": "(T -o U) -o[w inf] List T -o List U",
+    "map'": "(T -o U) -o[w inf] List T -o[1 ^1] Dest (List U) -o 1",
+    "cons": "T -o List T -o List T",
+    "append": "DList T -o T -o DList T",
+    "concat": "DList T -o DList T -o DList T",
+    "toList": "DList T -o List T",
+    "singleton": "T -o Queue T",
+    "enqueue": "Queue T -o T -o Queue T",
+    "dequeue": "Queue T -o 1 + (T * Queue T)",
+    "alloc": "(Dest T -o 1) -o[1 inf] T",
+    "relabelDps": "Tree 1 -o[1 inf] Tree Nat",
+    "sharing": "List Nat",
+}
 
 
 def test_loads_and_declared_types(env):
