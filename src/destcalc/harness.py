@@ -1,10 +1,12 @@
-"""Dynamic metatheory checks over traces, plus encode/decode and native oracles.
+"""Dynamic metatheory checks over traces, plus value encodings and test inputs.
 
 The harness re-derives, per trace command, what the safety theorems
 promise: the command types at the unchanged program type (preservation),
 exactly one rule applies to every non-final command (progress and
 determinism), and every hole-name binder pairs one hole with one
-destination (balance).
+destination (balance).  The rest runs library definitions on Python data:
+value encoders and decoders, the native breadth-first relabeling that
+`relabel` results are compared with, and seeded random inputs.
 """
 
 from __future__ import annotations
@@ -240,32 +242,6 @@ def scan_trace_balance(tr: M.Trace) -> Verdict:
     return Verdict.from_failures(failures)
 
 
-# -- step counting --------------------------------------------------------------
-
-
-class FuelExhausted(Exception):
-    pass
-
-
-class EvaluationStuck(Exception):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
-
-
-def run_to_value(term, fuel: int = 10**6):
-    res = M.run_term(term, fuel)
-    if isinstance(res, M.Finished):
-        return res
-    if isinstance(res, M.OutOfFuel):
-        raise FuelExhausted("no value after %d steps" % fuel)
-    raise EvaluationStuck(res.reason)
-
-
-def count_steps(term, fuel: int = 10**6) -> int:
-    return len(run_to_value(term, fuel).trace.steps)
-
-
 # -- encodings -------------------------------------------------------------------
 
 
@@ -288,10 +264,6 @@ def decode_nat(v) -> int:
     if isinstance(v, S.InlV) and isinstance(v.value, S.UnitV):
         return n
     raise DecodeError("not a canonical Nat: %r" % (v,))
-
-
-def encode_bool(b: bool):
-    return S.InlV(S.UnitV()) if b else S.InrV(S.UnitV())
 
 
 def decode_bool(v) -> bool:
@@ -352,11 +324,7 @@ def decode_tree(v, decode_label: Callable = decode_nat):
     raise DecodeError("not a canonical tree: %r" % (v,))
 
 
-# -- native oracles -----------------------------------------------------------------
-
-
-def list_map(f: Callable, xs: list) -> list:
-    return [f(x) for x in xs]
+# -- native oracle ------------------------------------------------------------------
 
 
 def bfs_relabel(tree):
@@ -384,32 +352,6 @@ def bfs_relabel(tree):
         return (label_of[path], rebuild(l, path + (0,)), rebuild(r, path + (1,)))
 
     return rebuild(tree, ())
-
-
-def oracles(kind: str, data):
-    """Dispatch to a native oracle by name."""
-    if kind == "bfs_relabel":
-        return bfs_relabel(data)
-    if kind == "list_map":
-        f, xs = data
-        return list_map(f, xs)
-    if kind == "fifo_queue":
-        return fifo_queue(data)
-    raise ValueError("unknown oracle %r" % kind)
-
-
-def fifo_queue(ops: list) -> list:
-    """Replay enq/deq ops; returns the value of each dequeue (None if empty)."""
-    import collections
-
-    q = collections.deque()
-    out = []
-    for op in ops:
-        if op[0] == "enq":
-            q.append(op[1])
-        else:
-            out.append(q.popleft() if q else None)
-    return out
 
 
 # -- random inputs (fixed seeds recorded by the test suite) --------------------------

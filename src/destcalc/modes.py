@@ -87,8 +87,6 @@ ModeSet = FrozenSet[Mode]
 # Modes m with 1v <= m: what a single plain use of a binding can demand.
 USE_SET: ModeSet = frozenset({UNIT, MANY_NOW, ONE_INF, MANY_INF})
 
-EMPTY_SET: ModeSet = frozenset()
-
 
 _MS_SUM_CACHE = {}
 _MS_IMAGE_CACHE = {}

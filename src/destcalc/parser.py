@@ -34,8 +34,6 @@ class Token:
 _SYMBOLS = ["<|", "<!", "<o", "-o", "->", "><", "(", ")", "{", "}", "[", "]",
             ",", ";", ":", "+", "*", "!", "\\", "=", "^"]
 
-_STAR_KEYWORDS = {"new", "to", "from", "from'"}
-
 
 # One alternative per token kind, tried in order.  A number is a run of
 # decimal digits (`str.isdecimal`); a name starts with a letter (checked after

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from . import syntax as S
 from .parser import Program, TermDef, parse
-from .typecheck import Checker, CheckStats, TypeCheckError, TypeEnv
+from .typecheck import Checker, TypeCheckError, TypeEnv
 
 
 @dataclass
@@ -45,12 +45,11 @@ class ProgramEnv:
     defs: Dict[str, LoadedDef] = field(default_factory=dict)
     order: List[str] = field(default_factory=list)
     main: Optional[str] = None
-    stats: CheckStats = field(default_factory=CheckStats)
     # (name, from_prime) -> the term `runnable` built for it
     runnables: Dict[tuple, object] = field(default_factory=dict, repr=False)
 
     def checker(self) -> Checker:
-        return Checker(self.tyenv, self.stats)
+        return Checker(self.tyenv)
 
     def runnable(self, name: str, from_prime: bool = False):
         """The closed, machine-ready core term for a definition.

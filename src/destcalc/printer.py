@@ -1,8 +1,9 @@
 """Deterministic ASCII rendering of modes, types, terms, values, commands.
 
-Program text round-trips: `parse(print_term(t))` rebuilds `t` (positions
-aside).  Values and commands use the same operator spellings plus `[]n`
-for holes, `->n` for destinations and `{#n ...}/l, r/` for ampars.
+Program text round-trips: `parse_term(print_term(t))` rebuilds `t` and
+`parse_type(print_type(ty))` rebuilds `ty` (positions aside).  Values and
+commands use the same operator spellings plus `[]n` for holes, `->n` for
+destinations and `{#n ...}/l, r/` for ampars.
 
 Terms and values print by one walk on `syntax.walk`'s own stack, so deep
 input does not exhaust Python's recursion limit.  A table of forms kept
@@ -228,22 +229,3 @@ def print_term(t, prec: int = 0, forms=None) -> str:
 def print_value(v, prec: int = 0, forms=None) -> str:
     return _flat(_at(form(v, forms), prec))
 
-
-def print_typedef(td) -> str:
-    params = "".join(" " + p for p in td.params)
-    if td.body is None:
-        return "type %s%s" % (td.name, params)
-    return "type %s%s = %s" % (td.name, params, print_type(td.body))
-
-
-def print_program(prog) -> str:
-    """Full-program rendering; parses back to the same Program."""
-    lines = []
-    for td in prog.type_defs.values():
-        lines.append(print_typedef(td))
-    for d in prog.term_defs:
-        lines.append("def %s : %s =" % (d.name, print_type(d.ann)))
-        lines.append("  " + print_term(d.body))
-    if prog.main is not None:
-        lines.append("main = %s" % prog.main)
-    return "\n".join(lines) + "\n"

@@ -290,12 +290,11 @@ class Checker:
     def __init__(
         self,
         tyenv: TypeEnv,
-        stats: Optional[CheckStats] = None,
         mode_strict: bool = True,
         type_log: Optional[dict] = None,
     ):
         self.tyenv = tyenv
-        self.stats = stats if stats is not None else CheckStats()
+        self.stats = CheckStats()
         self.mode_strict = mode_strict  # False: elaborate types, ignore modes
         self.type_log = type_log  # id(node) -> synthesized type, when set
         self._levels: List[_Level] = []  # the last command checked by levels, outermost first

@@ -7,7 +7,7 @@ from destcalc import machine as M
 from destcalc import prelude as P
 from destcalc import syntax as S
 from destcalc.modes import UNIT
-from destcalc.parser import _STAR_KEYWORDS, _SYMBOLS, ParseError, Token, parse, parse_type
+from destcalc.parser import _SYMBOLS, ParseError, Token, parse, parse_type
 from destcalc.prelude import load_prelude
 from destcalc import typecheck as T
 from destcalc.typecheck import Checker, TypeEnv
@@ -159,6 +159,10 @@ def preservation(suite):
 # Cache-free references of the loading path
 
 
+# the keywords that may be written with a trailing `*` (`new*`, `from'*`)
+_STAR_KEYWORDS = {"new", "to", "from", "from'"}
+
+
 def reference_tokenize(src: str) -> List[Token]:
     """The tokenizer as a loop over characters; `parser.tokenize` must agree with it."""
     toks: List[Token] = []
@@ -227,7 +231,7 @@ def reference_load_program(prog, base=None) -> P.ProgramEnv:
         d = env.defs.get(v.name)
         if d is None:
             return v
-        return d.sugar if d.ann is None else S.Annot(d.sugar, d.ann, pos=v.pos)
+        return S.Annot(d.sugar, d.ann, pos=v.pos)
 
     for d in prog.term_defs:
         inlined = S.map_free_vars(d.body, use)

@@ -156,8 +156,8 @@ def test_unreadable_file_is_an_error(tmp_path, capsys):
 def test_run_builds_no_step_commands(monkeypatch, capsys, env):
     # only the origin is a Command: `run` keeps rule names, and counts steps without them
     from destcalc import cli as C
-    from destcalc import harness as H
     from destcalc import machine as M
+    from conftest import run_ok
 
     built = []
     init = M.Command.__init__
@@ -170,5 +170,5 @@ def test_run_builds_no_step_commands(monkeypatch, capsys, env):
     assert C.main(["run", CONS]) == 0
     assert capsys.readouterr().out == "Inr ((), Inl ())\n"
     assert len(built) == 1
-    assert H.count_steps(env.runnable("sharing")) == 480
+    assert len(run_ok(env.runnable("sharing")).trace.steps) == 480
     assert len(built) == 2
