@@ -12,24 +12,40 @@ hole names come from max-based formulas over the names in the context, so
 runs are fully deterministic.  Each rule is one entry of a table, found by
 the type of the focus, or by the top frame when the focus is a value.
 
-Cost model.  While it runs, the machine keeps the structure under
-construction of each open ampar as a heap of hole cells indexed by hole
-name, as Minamide's data structures with a hole do: a destination write
-touches one cell.  `new*` builds its structure as one such cell.  Opening
-or grafting a closed ampar renames only its unfilled holes and its
-right-hand value; ages forbid an ampar's own destinations inside its own
-structure, so there are no other occurrences.  One with no holes renames
-nothing and shares its cells, which nothing writes.  The largest hole name
-of each open structure is tracked exactly, so every minted numeral is the
-one the max-based formulas give.  `run` keeps the origin and the rule
-names only: the `Command` of each step is built when someone reads
-`trace.steps`, by stepping again from the origin.  Classic `syntax` values
-and `Command`s are all that leaves the machine; a closed ampar it built
-reads its `left` from its cells on first access.  A substitution rebuilds
-the nodes on the paths to its variable only, and stores on each the free
-variables and the largest hole name that later steps read.  Each `Fix`
-node is unrolled once, and keeps its unrolling.  The hole-name walks
-(names, shifts, cells of a structure, canonical renaming) are visitors on
+Cost model.  The running machine is an environment machine (Felleisen and
+Friedman's CEK machine): its focus is a term plus an environment that maps
+the term's free variables to closed values, or to a `Closure` for a
+variable `fixC` bound, and each frame keeps the environment of the node it
+was cut from.  A field that is a variable the environment binds to a value
+counts as that value wherever a rule matches.  The binding rules (`⊸EC`,
+`⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an environment and build no
+term node; an environment holds only free variables of the node it was
+made for, so bindings do not pile up.  Only `[⊸]EC` substitutes while the
+machine runs: a lambda value is closed, so its body is read back
+(`read_back`), which rebuilds the nodes on the paths to the variables it
+puts in and stores on each its free variables and largest hole name.
+Each frame's largest hole name is that of its other children plus that of
+the bound values they mention, found without reading anything back.
+
+The machine keeps the structure under construction of each open ampar as
+a heap of hole cells indexed by hole name, as Minamide's data structures
+with a hole do: a destination write touches one cell.  `new*` builds its
+structure as one such cell.  Opening or grafting a closed ampar renames
+only its unfilled holes and its right-hand value; ages forbid an ampar's
+own destinations inside its own structure, so there are no other
+occurrences.  One with no holes renames nothing and shares its cells,
+which nothing writes.  The largest hole name of each open structure is
+tracked exactly, so every minted numeral is the one the max-based
+formulas give.
+
+`run` keeps the origin and the rule names only: the `Command` of each step
+is built when someone reads `trace.steps`, by stepping again from the
+origin and reading each command back into classic `syntax` terms.  A
+frame is read back once and shared by every later command; one with an
+empty environment is its own classic form.  Classic values and
+`Command`s are all that leaves the machine; a closed ampar it built reads
+its `left` from its cells on first access.  The hole-name walks (names,
+shifts, cells of a structure, canonical renaming) are visitors on
 `syntax.walk`, which keeps its own stack, so deep values and terms do not
 exhaust Python's recursion limit.
 """
@@ -56,19 +72,46 @@ class Frame:
     `fields` are the node's constructor fields in `syntax.layout` order,
     stamps included, with None at index `slot`, the field the focus came
     from, so a frame keeps nothing of its focus alive.  `kind` is its entry
-    of the frame table, which holds its rules.  A frame is made once, by
-    the focusing rule that pushes it, and shared by every later command.
+    of the frame table, which holds its rules.  `env` binds the free
+    variables of the node the frame was cut from (empty in a classic frame).
+    A frame is made once, by the focusing rule that pushes it, and shared by
+    every later command.
     """
 
-    __slots__ = ("cls", "fields", "slot", "kind")
+    __slots__ = ("cls", "fields", "slot", "kind", "env", "_back")
 
-    def __init__(self, cls, fields: tuple, slot: int):
+    def __init__(self, cls, fields: tuple, slot: int, env: dict = None):
         self.cls, self.fields, self.slot = cls, fields, slot
         self.kind = FRAMES[cls, slot]
+        self.env, self._back = env or _EMPTY, None
 
     def kids(self) -> list:
         """The node's term children other than the slot."""
         return [self.fields[i] for i in self.kind.others]
+
+    def hmax(self) -> int:
+        """The largest hole name of the node's other children read back under `env`."""
+        fields, env, m = self.fields, self.env, 0
+        for i, scope in self.kind.scoped:
+            if env:
+                h = _hmax_in(fields[i], env, (fields[scope[0]], fields[scope[-1]]) if scope else ())
+            else:
+                h = hmax_value(fields[i])
+            if h > m:
+                m = h
+        return m
+
+    def read_back(self, memo=None) -> "Frame":
+        """The classic frame: other children read back under `env`, made once."""
+        if not self.env:
+            return self
+        back = self._back
+        if back is None:
+            fields = list(self.fields)
+            for i, scope in self.kind.scoped:
+                fields[i] = read_back(fields[i], _unbound(self.env, fields, scope), memo)
+            back = self._back = Frame(self.cls, tuple(fields), self.slot)
+        return back
 
     def __eq__(self, other):  # as the nodes compare: positions and stamps aside
         if type(other) is not Frame:
@@ -219,7 +262,7 @@ def hmax_value(x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Shifts and substitutions
+# Shifts
 
 
 def cond_shift(x, holes, d: int):
@@ -244,6 +287,10 @@ def cond_shift(x, holes, d: int):
         return S.DESCEND
 
     return S.walk(x, enter, S.remade)
+
+
+# ---------------------------------------------------------------------------
+# Environments and read-back
 
 
 _NO_VARS = frozenset()
@@ -280,66 +327,144 @@ def free_vars_cached(t) -> frozenset:
     return fv
 
 
-def subst_var(t, x: str, r, y: str = None, s=None):
-    """Capture-avoiding substitution of r for the free variable x in t, and of s
-    for y in the same pass when y is given.
+_EMPTY = {}  # the environment of a term with no bound free variable; never written
 
-    `r` is a closed value, put in as `Val(r)` at the variable's position,
-    or a term (`fix` unrolls by putting in itself), put in as it is.  With
-    y, r and s are closed values, and the result is that of x's substitution
-    followed by y's (x's alone when y is x).  Only the nodes on the paths to
-    x and y are rebuilt, each from its fields in order with its elaboration
-    stamps, and each gets its free variables and its largest hole name
-    stored, so no later walk visits it.
+
+class Closure:
+    """What a variable `fixC` binds stands for: its `fix` node under the node's environment."""
+
+    __slots__ = ("fix", "env")
+
+    def __init__(self, fix, env: dict):
+        self.fix, self.env = fix, env
+
+    def read_back(self, memo=None):
+        return read_back(self.fix, self.env, memo)
+
+    def hmax(self) -> int:
+        return _hmax_in(self.fix, self.env)
+
+
+def _hmax_in(t, env, bound=()) -> int:
+    """The largest hole name of t read back under env but for the names `bound`,
+    without reading it back: t's own and that of each bound value t mentions."""
+    h = hmax_value(t)
+    if env:
+        fv = free_vars_cached(t)
+        if not fv.isdisjoint(env):
+            for y in fv:
+                v = env.get(y)
+                if v is not None and y not in bound:
+                    hv = v.hmax() if type(v) is Closure else hmax_value(v)
+                    if hv > h:
+                        h = hv
+    return h
+
+
+def _unbound(env, fields, scope) -> dict:
+    """env without the variables a binder's fields `fields[j]`, j in scope, name."""
+    if scope:
+        a, b = fields[scope[0]], fields[scope[-1]]  # one or two: the first and last
+        if a in env or b in env:
+            return {n: v for n, v in env.items() if n != a and n != b}
+    return env
+
+
+def _value(x, env):
+    """The value field x holds: a `Val`'s, or that of a variable env binds to one; else None."""
+    if type(x) is S.Val:
+        return x.value
+    if type(x) is S.Var:
+        v = env.get(x.name)
+        if type(v) is not Closure:
+            return v
+    return None
+
+
+def _bound(env, body, x: str = None, v=None, y: str = None, w=None) -> dict:
+    """The environment of `body` under env, with x bound to v and y to w when
+    given (with y equal to x, x's binding wins): only the variables free in body."""
+    fv = free_vars_cached(body)
+    new = {}
+    if env:
+        for n in fv:
+            u = env.get(n)
+            if u is not None:
+                new[n] = u
+    if y is not None and y in fv:
+        new[y] = w
+    if x is not None and x in fv:
+        new[x] = v
+    return new or _EMPTY
+
+
+def read_back(t, env: dict, memo: dict = None):
+    """The classic term t under env stands for: each free variable env binds put
+    in, a value as `Val(v)` and a `Closure` as its `fix` node read back.
+
+    Only the nodes on the paths to those variables are rebuilt, each from
+    its fields in order with its elaboration stamps, and each gets its free
+    variables and its largest hole name stored, so no later walk visits it.
+    `memo`, keyed on the identities of a node and of the values its free
+    variables are bound to, lets the commands of one trace share what they
+    read back.
     """
-    fv = free_vars_cached(t)
-    also = (y, s, hmax_value(s)) if y is not None and y != x and y in fv else None
-    if x not in fv:
-        return t if also is None else _subst(t, fv, y, s, True, also[2], _NO_VARS)
-    if type(r) in S._VALUE_TYPES:
-        return _subst(t, fv, x, r, True, hmax_value(r), _NO_VARS, also)
-    return _subst(t, fv, x, r, False, hmax_value(r), free_vars_cached(r), also)
+    if not env or free_vars_cached(t).isdisjoint(env):
+        return t
+    return _back(t, env, memo, Closure in map(type, env.values()))
 
 
-def _subst(t, fv, x, r, is_value, r_hmax, r_fv, also=None):
-    """`subst_var` on a node t whose free variables fv include x.  `also`, when
-    given, is a second binding (y, s, s's largest hole name), y free in t."""
+def _back(t, env, memo, fixes):
+    """`read_back` of a node that mentions env; `fixes`: env binds a `Closure`."""
+    fv = t.__dict__["_fv"]  # stored by `read_back` or by the loop over the node above
+    if memo is not None:  # keyed on t and the values it reads, whatever else env binds
+        vals = tuple(map(env.get, fv))
+        if fixes:  # closures of equal fix nodes are one value
+            vals = tuple([v.read_back(memo) if type(v) is Closure else v for v in vals])
+        key = (id(t), *map(id, vals))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[2]
     cls = type(t)
     if cls is S.Var:
-        if not is_value:
-            return r
-        node = S.Val(r, t.pos)
+        v = env[t.name]
+        if type(v) is Closure:
+            return v.read_back(memo)
+        node = S.Val(v, t.pos)
         d = node.__dict__
-        d["_fv"], d["_hmax"] = _NO_VARS, r_hmax
+        d["_fv"], d["_hmax"] = _NO_VARS, hmax_value(v)
+        if memo is not None:
+            memo[key] = (t, vals, node)
         return node
     get, kids = S.layout(cls)
     args = list(get(t))
+    h = 0  # a term node's largest hole name is its children's
     for i, scope in kids:
         kid = args[i]
-        kid_fv = kid.__dict__.get("_fv")
+        d = kid.__dict__
+        kid_fv = d.get("_fv")
         if kid_fv is None:
             kid_fv = free_vars_cached(kid)
-        # a binder names one or two variables: the first and last of its scope
-        hit = x in kid_fv and not (scope and (args[scope[0]] == x or args[scope[-1]] == x))
-        if also is not None:
-            y = also[0]
-            if y in kid_fv and not (scope and (args[scope[0]] == y or args[scope[-1]] == y)):
-                args[i] = (_subst(kid, kid_fv, x, r, is_value, r_hmax, r_fv, also) if hit
-                           else _subst(kid, kid_fv, y, also[1], True, also[2], _NO_VARS))
-                continue
-        if hit:
-            args[i] = _subst(kid, kid_fv, x, r, is_value, r_hmax, r_fv)
+        if not kid_fv.isdisjoint(env):
+            inner = _unbound(env, args, scope) if scope else env
+            if inner is env or not kid_fv.isdisjoint(inner):
+                kid = args[i] = _back(kid, inner, memo, fixes)
+                d = kid.__dict__
+        kh = d.get("_hmax")
+        if kh is None:
+            kh = hmax_value(kid)
+        if kh > h:
+            h = kh
     node = cls(*args)
-    h = t.__dict__.get("_hmax")
-    if h is None:
-        h = hmax_value(t)
-    fv = fv - {x} if len(fv) > 1 else _NO_VARS  # x is in fv
-    if also is not None:
-        fv = fv - {also[0]} if len(fv) > 1 else _NO_VARS  # so is y
-        h = max(h, also[2])
+    out = fv.difference(env)
+    if fixes:  # a fix node read back may keep a variable nothing binds
+        for v in map(env.get, fv):
+            if type(v) is Closure:
+                out = out.union(free_vars_cached(v.read_back(memo)))
     d = node.__dict__
-    d["_fv"] = fv | r_fv if r_fv else fv
-    d["_hmax"] = h if h > r_hmax else r_hmax
+    d["_fv"], d["_hmax"] = out or _NO_VARS, h
+    if memo is not None:
+        memo[key] = (t, vals, node)
     return node
 
 
@@ -520,60 +645,78 @@ def is_val(t) -> bool:
 
 
 class _State:
-    """A running command: the context as a stack, the focus, and the name bookkeeping.
+    """A running command: the context as a stack, the focus and its environment,
+    and the name bookkeeping.
 
     `maxes[i + 1]` is the largest hole name in the components ctx[:i + 1]
-    other than open ampars; `open_at` are the positions of the open
-    ampars, whose largest names change as holes are written.
+    other than open ampars.  It is filled in up to the top when a rule
+    mints a name (`ctx_max`), so a frame popped before that costs no walk.
+    `open_at` are the positions of the open ampars, whose largest names
+    change as holes are written.  `seen` and `shown` are the components of
+    the last snapshot and their classic forms.  `memo` keeps what was read
+    back (`read_back`) when the state takes snapshots, so its commands
+    share nodes; `run` keeps none.
     """
 
-    __slots__ = ("ctx", "maxes", "open_at", "focus")
+    __slots__ = ("ctx", "maxes", "open_at", "focus", "env", "seen", "shown", "memo")
 
-    def __init__(self, focus):
-        self.ctx, self.maxes, self.open_at, self.focus = [], [0], [], focus
+    def __init__(self, focus, memo=None):
+        self.ctx, self.maxes, self.open_at = [], [0], []
+        self.focus, self.env = focus, _EMPTY
+        self.seen, self.shown, self.memo = [], [], memo
 
     @classmethod
-    def load(cls, cmd: Command) -> "_State":
-        st = cls(cmd.focus)
+    def load(cls, cmd: Command, memo=None) -> "_State":
+        st = cls(cmd.focus, memo)
         for e in cmd.ctx:
             if isinstance(e, OpenAmpar):
-                st.push_open(OpenCells(*_cells_of(e.left, e.holes), snap=e), cmd.focus)
+                st.push_open(OpenCells(*_cells_of(e.left, e.holes), snap=e), cmd.focus, _EMPTY)
             else:
-                st.push(e, cmd.focus)
+                st.push(e, cmd.focus, _EMPTY)
         return st
 
-    def push(self, frame: Frame, focus):
-        m, fields = self.maxes[-1], frame.fields
-        for i in frame.kind.others:
-            h = hmax_value(fields[i])
-            if h > m:
-                m = h
+    def push(self, frame: Frame, focus, env):
         self.ctx.append(frame)
-        self.maxes.append(m)
-        self.focus = focus
+        self.focus, self.env = focus, env
 
-    def push_open(self, o: OpenCells, focus):
+    def push_open(self, o: OpenCells, focus, env):
         self.open_at.append(len(self.ctx))
         self.ctx.append(o)
-        self.maxes.append(self.maxes[-1])
-        self.focus = focus
+        self.refocus(focus, env)
 
-    def pop(self, focus):
-        if type(self.ctx.pop()) is OpenCells:
+    def pop(self, focus, env):
+        ctx = self.ctx
+        if type(ctx.pop()) is OpenCells:
             self.open_at.pop()
-        self.maxes.pop()
-        self.focus = focus
+        if len(self.maxes) > len(ctx) + 1:
+            self.maxes.pop()
+        self.focus, self.env = focus, env
 
-    def refocus(self, focus):
-        self.focus = focus
+    def refocus(self, focus, env):
+        """Focus on a term under env; a bound variable focuses on what it stands for."""
+        if type(focus) is S.Var:
+            v = env.get(focus.name)
+            if type(v) is Closure:
+                focus, env = v.fix, v.env
+            elif v is not None:
+                focus = S.Val(v, focus.pos) if self.memo is None else read_back(focus, env, self.memo)
+                env = _EMPTY
+        self.focus, self.env = focus, env
 
     def close(self, right):
         o = self.ctx[-1]
         shape = Shape(o.root, o.cells, o.static)
-        self.pop(S.Val(S.AmparV.with_shape(frozenset(o.cells), shape, right)))
+        self.pop(S.Val(S.AmparV.with_shape(frozenset(o.cells), shape, right)), _EMPTY)
 
     def ctx_max(self) -> int:
-        m = self.maxes[-1]
+        maxes = self.maxes
+        m = maxes[-1]
+        for e in self.ctx[len(maxes) - 1:]:  # the components pushed since the last call
+            if type(e) is Frame:
+                h = e.hmax()
+                if h > m:
+                    m = h
+            maxes.append(m)
         for i in self.open_at:
             h = self.ctx[i].hmax()
             if h > m:
@@ -597,20 +740,32 @@ class _State:
         self.focus = focus
 
     def snapshot(self) -> Command:
-        ctx = self.ctx.copy()
+        """The classic command; the frames the last snapshot read back are kept."""
+        ctx, seen, shown = self.ctx, self.seen, self.shown
+        # a component pushed since the last snapshot is a new object, and so is
+        # everything above it: below the lowest one, the last snapshot holds
+        i = min(len(seen), len(ctx))
+        while i and seen[i - 1] is not ctx[i - 1]:
+            i -= 1
+        del seen[i:], shown[i:]
+        for e in ctx[i:]:
+            seen.append(e)
+            shown.append(e.read_back(self.memo) if type(e) is Frame else e)
+        out = shown.copy()
         for i in self.open_at:
-            ctx[i] = ctx[i].snapshot()
-        return Command(tuple(ctx), self.focus)
+            out[i] = ctx[i].snapshot()
+        return Command(tuple(out), read_back(self.focus, self.env, self.memo))
 
     def step(self):
         """Apply the one applicable rule; its name, or Final/Stuck."""
         t = self.focus
         if not self.ctx and type(t) is S.Val:
             return Final(t.value)
-        rule = _rule_for(self.ctx[-1] if self.ctx else None, t)
+        rule = _rule_for(self.ctx[-1] if self.ctx else None, t, self.env)
         if rule is None:
             from .printer import print_term
-            return Stuck("no rule applies to focus %s" % print_term(t, 3))
+            focus = read_back(t, self.env, self.memo)
+            return Stuck("no rule applies to focus %s" % print_term(focus, 3))
         name, act = rule
         act(self, t)
         return name
@@ -639,20 +794,21 @@ def _renamed(av, d: int):
 # type and the values in it; a value focus by the top frame.
 
 
-def _rule_for(top, t):
-    """The rule whose left-hand side matches focus t under component top (None at
-    the root), or None.  The table gives at most one, so the machine is
-    deterministic by construction."""
+def _rule_for(top, t, env):
+    """The rule whose left-hand side matches focus t under env and component top
+    (None at the root), or None.  The table gives at most one, so the
+    machine is deterministic by construction."""
     if type(t) is S.Val:
         if type(top) is Frame:
             return top.kind.unfocus
         return None if top is None else _CLOSE
     match = _MATCH.get(type(t))
-    return None if match is None else match(t)
+    return None if match is None else match(t, env)
 
 
 def _unfocus(st, t):
-    st.pop(plug(st.ctx[-1], t))
+    frame = st.ctx[-1]
+    st.pop(plug(frame, t), frame.env)
 
 
 _CLOSE = ("⋉CL", lambda st, t: st.close(t.value))
@@ -664,6 +820,7 @@ class FrameKind(NamedTuple):
     fmt: str  # how a trace prints the frame
     names: tuple  # the node's field names, which `fmt` refers to
     others: tuple  # the indices of the node's term children other than the slot
+    scoped: tuple  # (index, the indices of the fields naming the variables bound over it)
 
 
 # The frame table: (node class, focused field) -> (focusing rule, unfocusing
@@ -700,12 +857,18 @@ def _frame_kind(cls, field, focus, unfocus, fmt):
     slot = names.index(field)
 
     def push(st, t):
-        fields = list(get(t))
+        fields, env = list(get(t)), st.env
         focus, fields[slot] = fields[slot], None
-        st.push(Frame(cls, tuple(fields), slot), focus)
+        frame = Frame(cls, tuple(fields), slot, env)
+        if type(focus) is S.Var:  # not bound to a value, or the rule would not fire
+            c = env.get(focus.name)
+            if c is not None:
+                focus, env = c.fix, c.env
+        st.push(frame, focus, env)
 
-    others = tuple(i for i, _ in kids if i != slot)
-    return (cls, slot), FrameKind((focus, push), (unfocus, _unfocus), fmt, names, others)
+    scoped = tuple((i, scope) for i, scope in kids if i != slot)
+    others = tuple(i for i, _ in scoped)
+    return (cls, slot), FrameKind((focus, push), (unfocus, _unfocus), fmt, names, others, scoped)
 
 
 # (node class, slot index) -> FrameKind
@@ -722,28 +885,28 @@ def _on_value(cls, field, contract):
     rule `contract` gives for that value's type (none: stuck)."""
     get, focus = operator.attrgetter(field), _focus(cls, field)
 
-    def match(t):
+    def match(t, env):
         x = get(t)
-        if type(x) is not S.Val:
-            return focus
-        return contract.get(type(x.value))
+        if type(x) is S.Val:
+            return contract.get(type(x.value))
+        if type(x) is S.Var:
+            v = env.get(x.name)
+            if v is not None and type(v) is not Closure:
+                return contract.get(type(v))
+        return focus
 
     return match
 
 
-def _substituted(st, body, var, v):
-    st.refocus(subst_var(body, var, v))
-
-
 def _open(st, t):
-    av = t.scrut.value
+    av = _value(t.scrut, st.env)
     d = max(max(av.holes), st.ctx_max()) + 1 - min(av.holes) if av.holes else 0
     root, cells, static, right = _renamed(av, d)
-    st.push_open(OpenCells(root, cells, static), subst_var(t.body, t.var, right))
+    st.push_open(OpenCells(root, cells, static), t.body, _bound(st.env, t.body, t.var, right))
 
 
 def _fill_sum(st, t):
-    h = t.dest.value.hole
+    h = _value(t.dest, st.env).hole
     n = st.fresh_base(h) + 1
     cell = Cell()
     hollow = S.InlV(cell) if type(t) is S.FillInl else S.InrV(cell)
@@ -751,7 +914,7 @@ def _fill_sum(st, t):
 
 
 def _fill_pair(st, t):
-    h = t.dest.value.hole
+    h = _value(t.dest, st.env).hole
     base = st.fresh_base(h)
     n1, n2 = base + 1, base + 2
     c1, c2 = Cell(), Cell()
@@ -760,60 +923,72 @@ def _fill_pair(st, t):
 
 
 def _fill_bang(st, t):
-    h = t.dest.value.hole
+    h = _value(t.dest, st.env).hole
     n = st.fresh_base(h) + 1
     cell = Cell()
     st.write(h, S.ModV(t.mode, cell), S.Val(S.DestV(n)), binds=((n, cell),))
 
 
 def _fill_fun(st, t):
-    free = free_vars_cached(t.body) - {t.var}
+    # the one rule that substitutes: a lambda value is closed
+    env = st.env
+    if t.var in env:
+        env = {n: v for n, v in env.items() if n != t.var}
+    body = read_back(t.body, env, st.memo)
+    free = free_vars_cached(body) - {t.var}
     if free:
         raise OpenLambda(free)
-    lam = S.LamV(t.var, t.mode, t.body, t.param_ty_)
-    st.write(t.dest.value.hole, lam, S.Val(S.UnitV()), hmax_value(lam))
+    lam = S.LamV(t.var, t.mode, body, t.param_ty_)
+    st.write(_value(t.dest, st.env).hole, lam, S.Val(S.UnitV()), hmax_value(lam))
 
 
 def _compose(st, t):
-    h, av = t.dest.value.hole, t.child.value
+    h, av = _value(t.dest, st.env).hole, _value(t.child, st.env)
     d = max(max(av.holes), st.ctx_max(), h) + 1 - min(av.holes) if av.holes else 0
     root, cells, static, right = _renamed(av, d)
     st.write(h, root, S.Val(right), static, cells.items())
 
 
 def _fill_leaf(st, t):
-    v = t.arg.value
-    st.write(t.dest.value.hole, v, S.Val(S.UnitV()), hmax_value(v))
+    v = _value(t.arg, st.env)
+    st.write(_value(t.dest, st.env).hole, v, S.Val(S.UnitV()), hmax_value(v))
 
 
-def _match_app(t):
-    if type(t.arg) is not S.Val:
+def _match_app(t, env):
+    if _value(t.arg, env) is None:
         return _APP_F1
-    if type(t.fn) is not S.Val:
+    fn = _value(t.fn, env)
+    if fn is None:
         return _APP_F2
-    return _APP_C if type(t.fn.value) is S.LamV else None
+    return _APP_C if type(fn) is S.LamV else None
+
+
+def _apply(st, t):
+    lam, env = _value(t.fn, st.env), st.env
+    st.refocus(lam.body, _bound(_EMPTY, lam.body, lam.var, _value(t.arg, env)))
 
 
 _APP_F1 = _focus(S.App, "arg")
 _APP_F2 = _focus(S.App, "fn")
-_APP_C = ("⊸EC", lambda st, t: _substituted(st, t.fn.value.body, t.fn.value.var, t.arg.value))
+_APP_C = ("⊸EC", _apply)
 
 
-def _match_case_bang(t):
-    if type(t.scrut) is not S.Val:
+def _match_case_bang(t, env):
+    v = _value(t.scrut, env)
+    if v is None:
         return _BANG_F
-    v = t.scrut.value
     return _BANG_C if type(v) is S.ModV and v.mode == t.inner_mode else None
 
 
 _BANG_F = _focus(S.CaseBang, "scrut")
-_BANG_C = ("!EC", lambda st, t: _substituted(st, t.body, t.var, t.scrut.value.value))
+_BANG_C = ("!EC", lambda st, t: st.refocus(
+    t.body, _bound(st.env, t.body, t.var, _value(t.scrut, st.env).value)))
 
 
-def _match_from(t):
-    if type(t.inner) is not S.Val:
+def _match_from(t, env):
+    v = _value(t.inner, env)
+    if v is None:
         return _FROM_F
-    v = t.inner.value
     if type(v) is S.AmparV and type(v.right) is S.ModV and v.right.mode == ONE_INF:
         return _FROM_C
     return None
@@ -825,28 +1000,34 @@ def _left(av):
     return d["left"] if "left" in d else d["_shape"].read()
 
 
+def _from(st, t):
+    av = _value(t.inner, st.env)
+    st.refocus(S.Val(S.PairV(_left(av), av.right)), _EMPTY)
+
+
 _FROM_F = _focus(S.FromAmpar, "inner")
-_FROM_C = ("⋉FROMC", lambda st, t: st.refocus(
-    S.Val(S.PairV(_left(t.inner.value), t.inner.value.right))))
+_FROM_C = ("⋉FROMC", _from)
 
 
-def _match_from_prime(t):
-    if type(t.inner) is not S.Val:
+def _match_from_prime(t, env):
+    v = _value(t.inner, env)
+    if v is None:
         return _FROMP_F
-    v = t.inner.value
     return _FROMP_C if type(v) is S.AmparV and type(v.right) is S.UnitV else None
 
 
 _FROMP_F = _focus(S.FromAmparPrime, "inner")
-_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(_left(t.inner.value))))
+_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(_left(_value(t.inner, st.env))), _EMPTY))
 
 
-def _match_fill_comp(t):
-    if type(t.dest) is not S.Val:
+def _match_fill_comp(t, env):
+    dest = _value(t.dest, env)
+    if dest is None:
         return _COMP_F1
-    if type(t.child) is not S.Val:
+    child = _value(t.child, env)
+    if child is None:
         return _COMP_F2
-    if type(t.dest.value) is S.DestV and type(t.child.value) is S.AmparV:
+    if type(dest) is S.DestV and type(child) is S.AmparV:
         return _COMP_C
     return None
 
@@ -856,12 +1037,13 @@ _COMP_F2 = _focus(S.FillComp, "child")
 _COMP_C = ("[]E_cC", _compose)
 
 
-def _match_fill_leaf(t):
-    if type(t.dest) is not S.Val:
+def _match_fill_leaf(t, env):
+    dest = _value(t.dest, env)
+    if dest is None:
         return _LEAF_F1
-    if type(t.arg) is not S.Val:
+    if _value(t.arg, env) is None:
         return _LEAF_F2
-    return _LEAF_C if type(t.dest.value) is S.DestV else None
+    return _LEAF_C if type(dest) is S.DestV else None
 
 
 _LEAF_F1 = _focus(S.FillLeaf, "dest")
@@ -874,45 +1056,52 @@ _ONE = frozenset({1})
 
 def _new(st, t):
     root = Cell()
-    st.refocus(S.Val(S.AmparV.with_shape(_ONE, Shape(root, {1: root}, 0), S.DestV(1))))
+    st.refocus(S.Val(S.AmparV.with_shape(_ONE, Shape(root, {1: root}, 0), S.DestV(1))), _EMPTY)
 
 
 def _unroll(st, t):
-    # a `Fix` node is immutable, so its unrolling is made once and kept on it
-    body = t.__dict__.get("_unrolled")
-    if body is None:
-        body = t.__dict__["_unrolled"] = subst_var(t.body, t.var, t)
-    st.refocus(body)
+    # `fix x. body` goes on as body with x bound to the fix node under its environment
+    fix = Closure(t, _bound(st.env, t))
+    st.refocus(t.body, _bound(st.env, t.body, t.var, fix))
+
+
+def _case_sum(st, t):
+    v, env = _value(t.scrut, st.env), st.env
+    if type(v) is S.InlV:
+        st.refocus(t.left_body, _bound(env, t.left_body, t.left_var, v.value))
+    else:
+        st.refocus(t.right_body, _bound(env, t.right_body, t.right_var, v.value))
+
+
+def _case_pair(st, t):
+    v, env = _value(t.scrut, st.env), st.env
+    st.refocus(t.body, _bound(env, t.body, t.var1, v.fst, t.var2, v.snd))
 
 
 _NEW = ("⋉NEWC", _new)
 _FIX = ("fixC", _unroll)
 _TO_F = _focus(S.ToAmpar, "inner")
 _TO_C = ("⋉TOC", lambda st, t: st.refocus(
-    S.Val(S.AmparV(frozenset(), t.inner.value, S.UnitV()))))
+    S.Val(S.AmparV(frozenset(), _value(t.inner, st.env), S.UnitV())), _EMPTY))
 
 _MATCH = {
     S.App: _match_app,
-    S.Seq: _on_value(S.Seq, "first", {S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest))}),
+    S.Seq: _on_value(S.Seq, "first", {
+        S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest, st.env))}),
     S.CaseSum: _on_value(S.CaseSum, "scrut", {
-        S.InlV: ("⊕EC₁", lambda st, t: _substituted(
-            st, t.left_body, t.left_var, t.scrut.value.value)),
-        S.InrV: ("⊕EC₂", lambda st, t: _substituted(
-            st, t.right_body, t.right_var, t.scrut.value.value)),
+        S.InlV: ("⊕EC₁", _case_sum),
+        S.InrV: ("⊕EC₂", _case_sum),
     }),
-    S.CasePair: _on_value(S.CasePair, "scrut", {
-        S.PairV: ("⊗EC", lambda st, t: st.refocus(subst_var(
-            t.body, t.var1, t.scrut.value.fst, t.var2, t.scrut.value.snd))),
-    }),
+    S.CasePair: _on_value(S.CasePair, "scrut", {S.PairV: ("⊗EC", _case_pair)}),
     S.CaseBang: _match_case_bang,
     S.UpdWith: _on_value(S.UpdWith, "scrut", {S.AmparV: ("⋉OP", _open)}),
-    S.ToAmpar: lambda t: _TO_F if type(t.inner) is not S.Val else _TO_C,
+    S.ToAmpar: lambda t, env: _TO_F if _value(t.inner, env) is None else _TO_C,
     S.FromAmpar: _match_from,
     S.FromAmparPrime: _match_from_prime,
-    S.NewAmpar: lambda t: _NEW,
+    S.NewAmpar: lambda t, env: _NEW,
     S.FillUnit: _on_value(S.FillUnit, "dest", {
         S.DestV: ("[1]EC", lambda st, t: st.write(
-            t.dest.value.hole, S.UnitV(), S.Val(S.UnitV()))),
+            _value(t.dest, st.env).hole, S.UnitV(), S.Val(S.UnitV()))),
     }),
     S.FillInl: _on_value(S.FillInl, "dest", {S.DestV: ("[⊕]E₁C", _fill_sum)}),
     S.FillInr: _on_value(S.FillInr, "dest", {S.DestV: ("[⊕]E₂C", _fill_sum)}),
@@ -921,7 +1110,7 @@ _MATCH = {
     S.FillFun: _on_value(S.FillFun, "dest", {S.DestV: ("[⊸]EC", _fill_fun)}),
     S.FillComp: _match_fill_comp,
     S.FillLeaf: _match_fill_leaf,
-    S.Fix: lambda t: _FIX,
+    S.Fix: lambda t, env: _FIX,
 }
 
 
@@ -931,12 +1120,12 @@ def applicable_rules(cmd: Command) -> List[str]:
     The run and this scan read the same rule table, which holds at most
     one rule per command; the final command has none.
     """
-    rule = _rule_for(cmd.ctx[-1] if cmd.ctx else None, cmd.focus)
+    rule = _rule_for(cmd.ctx[-1] if cmd.ctx else None, cmd.focus, _EMPTY)
     return [] if rule is None else [rule[0]]
 
 
 def step(cmd: Command):
-    st = _State.load(cmd)
+    st = _State.load(cmd, {})
     res = st.step()
     return Stepped(res, st.snapshot()) if isinstance(res, str) else res
 
@@ -962,7 +1151,7 @@ class Replay(Sequence):
 
     def _materialized(self) -> List[Tuple[str, Command]]:
         if self._steps is None:
-            st = _State.load(self.origin)
+            st = _State.load(self.origin, {})
             steps = []
             for rule in self.rules:
                 if st.step() != rule:

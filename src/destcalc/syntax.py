@@ -633,7 +633,10 @@ def desugar(t, fresh: Optional[FreshNames] = None, known=None):
 
     from'* is kept as the FromAmparPrime node here; `lower_from_prime`
     replaces it by its upd/from/Mod expansion when the primitive is not
-    enabled.  Idempotent on core terms.
+    enabled.  Idempotent on core terms.  No node it builds or keeps carries
+    an elaboration stamp or a kept typing, which a check of another program
+    may have left on a core node of the input, except those of the checked
+    copies `known` gives.
 
     `known(a)` may give, for an `Annot` node `a`, a core term `c` that
     desugaring `a.inner` from a fresh generator builds, and the count `n`
@@ -700,10 +703,30 @@ def desugar(t, fresh: Optional[FreshNames] = None, known=None):
                 inner = renumbered(core, fresh.prefix, fresh.count)
                 fresh.count += names
                 return Annot(inner, t.ty, pos=t.pos)
-        # core nodes: rebuild with desugared children
-        return rebuild(t, go)
+        # core nodes: rebuild with desugared children, and without what a check
+        # left on them, which belongs to that check's type environment
+        return _unchecked(rebuild(t, go))
 
     return go(t)
+
+
+_STAMPS = {}  # term node class -> its elaboration stamps: (index in `layout` order, name)
+
+
+def _unchecked(t):
+    """t, or a copy of it without elaboration stamps and kept typing when it has any."""
+    cls = type(t)
+    stamps = _STAMPS.get(cls)
+    if stamps is None:
+        stamps = _STAMPS[cls] = tuple(
+            (i, n) for i, n in enumerate(field_order(cls)) if n.endswith("_"))
+    d = t.__dict__
+    if "_typed_" not in d and all(d[n] is None for _, n in stamps):
+        return t
+    args = list(layout(cls)[0](t))
+    for i, _ in stamps:
+        args[i] = None
+    return cls(*args)
 
 
 def renumbered(t, prefix: str, shift: int):

@@ -1,4 +1,4 @@
-"""Small-step machine: rules, substitutions, shifts, the worked trace."""
+"""Small-step machine: rules, environments and read-back, shifts, the worked trace."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.modes import Mode, UNIT, ONE_INF
 from destcalc.parser import parse_term
+from destcalc.printer import print_value
 
 from conftest import app_chain, frame_of, plain_fv, plain_hmax, run_ok
 
@@ -62,14 +63,15 @@ def test_star_side_condition():
 
 
 def test_subst_var():
-    assert M.subst_var(S.Var("x"), "x", S.UnitV()) == S.Val(S.UnitV())
+    # reading a term back under an environment puts in each bound variable's value
+    assert M.read_back(S.Var("x"), {"x": S.UnitV()}) == S.Val(S.UnitV())
     lam = S.Val(S.LamV("x", UNIT, S.Var("x")))
-    assert M.subst_var(lam, "x", S.UnitV()) is lam  # values stay closed
+    assert M.read_back(lam, {"x": S.UnitV()}) is lam  # values stay closed
     shadowed = parse_term(r"case p of (x, y) -> x")
-    out = M.subst_var(shadowed, "x", S.UnitV())
+    out = M.read_back(shadowed, {"x": S.UnitV()})
     assert out.body == S.Var("x")  # binder shadows
     t = S.FillLeaf(S.Var("d"), S.Var("x"))
-    out = M.subst_var(t, "x", S.InlV(S.UnitV()))
+    out = M.read_back(t, {"x": S.InlV(S.UnitV())})
     assert out == S.FillLeaf(S.Var("d"), S.Val(S.InlV(S.UnitV())))
 
 
@@ -82,16 +84,18 @@ def test_subst_var():
     r"f z",
 ])
 def test_subst_var_two_bindings_in_one_pass(src):
-    # `⊗EC` puts in both halves of a pair in one pass: as one substitution after the other
+    # an environment of two bindings reads back as one substitution after the other
     t, a, b = parse_term(src), S.InlV(S.HoleV(3)), S.DestV(5)
-    out = M.subst_var(t, "x", a, "y", b)
-    assert out == M.subst_var(M.subst_var(t, "x", a), "y", b)
+    out = M.read_back(t, {"x": a, "y": b})
+    assert out == M.read_back(M.read_back(t, {"x": a}), {"y": b})
     nodes = []
     S.walk(out, lambda node, _: nodes.append(node) or S.DESCEND)
     for node in nodes:
-        if "_fv" in node.__dict__ and "_hmax" in node.__dict__:  # built by the substitution
+        if "_fv" in node.__dict__ and "_hmax" in node.__dict__:  # built by the read-back
             _stored_caches_hold(node)
-    assert M.subst_var(t, "x", a, "x", b) == M.subst_var(t, "x", a)  # the first binding wins
+    # `⊗EC` on a pattern that names one variable twice binds the first half
+    both = M.step(M.Command((), S.CasePair(UNIT, S.Val(S.PairV(a, b)), "x", "x", t)))
+    assert both.command.focus == M.read_back(t, {"x": a})
 
 
 X, U = S.Var("x"), S.UnitV()
@@ -121,7 +125,7 @@ def test_subst_stops_at_each_binder(term, kept):
         if hasattr(term, f):
             setattr(term, f, stamp)
     term.pos = (3, 4)
-    out = M.subst_var(term, "x", S.InlV(S.DestV(7)))
+    out = M.read_back(term, {"x": S.InlV(S.DestV(7))})
     for f in S.field_order(type(term)):
         old, new = getattr(term, f), getattr(out, f)
         if not isinstance(old, S._TERM_TYPES):
@@ -137,19 +141,51 @@ def test_subst_stops_at_each_binder(term, kept):
 
 def test_subst_unrolls_fix():
     fx = S.Fix("f", T, S.Seq(S.Val(S.DestV(5)), S.App(S.Var("f"), S.Var("f"))))
-    out = M.subst_var(fx.body, "f", fx)
+    unrolled = {"f": M.Closure(fx, {})}
+    out = M.read_back(fx.body, unrolled)
     assert out == S.Seq(S.Val(S.DestV(5)), S.App(fx, fx))
     assert out.rest.fn is fx and out.rest.arg is fx
     _stored_caches_hold(out)
     _stored_caches_hold(out.rest)
     inner = S.Fix("f", T, S.Var("f"))  # an inner fix of the same name shadows it
-    assert M.subst_var(inner, "f", fx) is inner
+    assert M.read_back(inner, unrolled) is inner
     res = M.step(M.Command((), fx))
     assert res.rule == "fixC" and res.command.focus == out
-    # the unrolling is made once per `Fix` node and kept on it
-    again = M.step(M.Command((), fx))
-    assert again.command.focus is res.command.focus
+    # `fixC` builds no node: the focus is the fix's own body, with f bound to the fix
+    st = M._State.load(M.Command((), fx))
+    assert st.step() == "fixC"
+    assert st.focus is fx.body and st.env["f"].fix is fx
     _stored_caches_hold(res.command.focus)
+
+
+def _fun_prog(body):
+    """`d <| Fun z -> body` under a `case` that binds a and b, in a new ampar."""
+    return S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", S.CasePair(
+        UNIT, S.Val(S.PairV(S.UnitV(), S.InlV(S.UnitV()))), "a", "b",
+        S.Seq(S.Var("a"), S.FillFun(S.Var("d"), "z", UNIT, body)))))
+
+
+def test_stuck_reason_reads_the_focus_back():
+    lam = S.LamV("x", UNIT, S.CaseSum(UNIT, S.Val(S.UnitV()), "a", S.Seq(S.Var("a"), S.Var("x")),
+                                     "b", S.Seq(S.Var("b"), S.Var("x"))))
+    res = M.run_term(S.App(S.Val(lam), S.Val(S.InlV(S.DestV(4)))))
+    assert isinstance(res, M.StuckAt) and len(res.trace.steps) == 1
+    assert res.reason == ("no rule applies to focus "
+                          "(case () of { Inl a -> a ; (Inl ->4), Inr b -> b ; (Inl ->4) })")
+    assert res.command.focus.left_body.rest == S.Val(S.InlV(S.DestV(4)))
+
+
+def test_fun_closes_over_what_a_case_binds():
+    res = run_ok(_fun_prog(S.Seq(S.Var("z"), S.Var("b"))))
+    assert len(res.trace.steps) == 11
+    assert print_value(res.value) == r"\z -> z ; (Inl ())"
+
+
+def test_open_lambda_names_only_unbound_variables():
+    with pytest.raises(M.OpenLambda) as info:
+        M.run_term(_fun_prog(S.Seq(S.Var("z"), S.Seq(S.Var("q"), S.Var("b")))))
+    assert str(info.value) == "lambda value must be closed; free: q"
+    assert info.value.names == {"q"}
 
 
 def test_free_vars_share_sets():

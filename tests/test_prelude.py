@@ -332,6 +332,34 @@ def test_a_program_that_declares_types_puts_in_no_checked_copy():
     _assert_loads_alike(user, ref, names)
 
 
+def test_a_program_that_declares_types_is_checked_over_unstamped_nodes(env, monkeypatch):
+    # the base's checks stamped the cores of its definitions; desugaring a
+    # reference afresh under a new type environment keeps none of those stamps
+    stamped = []
+
+    def count(node, _):
+        if type(node) is S.Val:
+            return None
+        d = node.__dict__
+        stamped.append("_typed_" in d or any(d[f] is not None for f in S.field_order(type(node))
+                                             if f.endswith("_")))
+        return S.DESCEND
+
+    desugar = S.desugar
+
+    def counted(*args):
+        core = desugar(*args)
+        S.walk(core, count)
+        return core
+
+    monkeypatch.setattr(S, "desugar", counted)
+    user = load_source("type Flag = 1 + 1\n"
+                       "def p : List Nat = toListN (appendN (dsingleN 1) 2)\n", base=env)
+    assert user.tyenv is not env.tyenv
+    assert len(stamped) == 95 and not any(stamped)
+    assert H.decode_list(run_ok(user.runnable("p")).value) == [1, 2]
+
+
 def test_a_load_types_each_definition_once(monkeypatch):
     # the prelude's own code only: inlined definitions come in typed
     visited = []

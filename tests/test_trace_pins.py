@@ -34,6 +34,41 @@ PINNED = {
     "cons_example_from_prime": "1a321d25d8d6bef004cfcc2b4818b64062211136a6695df5a1f5e850743b721c",
     "dlist16": "b16a1a419afb23bd3b5b4a32a3a52f3b06419fab572af6d7bb92500f7f3f65b5",
     "map8": "387b83b0a7d60ec9258a436716784c05ef18fd4aae66c04fdc784c8597b11390",
+    "shadow": "44936428179aa9eebe5916ead3bc1b8153369b5a2da36ad35b5384e07ec8ebc1",
+    "hole_max": "8d51165f032ac58c6592c8c98f4db0cb742dceda0cc053486cf752d564588822",
+    "fix_outer": "a66a59a76fc2e015a5777d3c302cd7e3e95f6fde8c5d55471fbf6e2ac3ba123b",
+}
+
+# programs that bind under an environment: a `case` that shadows a bound
+# difference list while its frame is on the stack; a bound difference list
+# that holds the context's largest hole name while a frame pushed under it
+# does not mention it; a `fix` whose body reads a variable bound outside it
+SOURCES = {
+    "shadow": r"""
+def shadowBody : DList Nat -o List Nat * List Nat =
+  \ys -> case ((toListN ys, toListN (dsingleN 4)) : List Nat * List Nat) of (a, ys) -> (ys, a)
+def shadow : List Nat * List Nat = shadowBody (appendN (appendN (dsingleN 1) 2) 3)
+main = shadow
+""",
+    "hole_max": r"""
+def holeMaxBody : DList Nat -o List Nat =
+  \ys2 -> toListN (concatN (dsingleN 5) ys2)
+def holeMax : List Nat = holeMaxBody (appendN (dsingleN 7) 8)
+main = holeMax
+""",
+    "fix_outer": r"""
+def fillAll : Nat -o[w inf] List Nat -o[1 ^1] Dest (List Nat) -o 1 =
+  \n [w inf] -> fix go : (List Nat -o[1 ^1] Dest (List Nat) -o 1) ->
+    \l [1 ^1] -> \dl ->
+      case [1 ^1] l of {
+        Inl u -> case (dl <| Inr <| Pair) of (dx, dxs) -> dx <! n ; dxs <| Inl <! u,
+        Inr c -> case [1 ^1] c of (x, xs) ->
+          case (dl <| Inr <| Pair) of (dx, dxs) -> dx <! x ; go xs dxs }
+def fixOuter : List Nat =
+  from'* (upd (new* : List Nat >< Dest (List Nat)) with dl ->
+    fillAll 9 (consN 1 (consN 2 nilN)) dl)
+main = fixOuter
+""",
 }
 
 
@@ -54,6 +89,9 @@ def programs(env):
     progs["cons_example"] = demo.runnable(demo.main)
     progs["cons_example_from_prime"] = demo.runnable(demo.main, from_prime=True)
     progs.update(library_programs(env))
+    for name, src in SOURCES.items():
+        prog = load_source(src, base=env)
+        progs[name] = prog.runnable(prog.main)
     return progs
 
 
@@ -85,6 +123,25 @@ def test_shared_runnables_trace_the_same_again(env, programs, name):
     env.checker().check_command(M.Command((), again))
     assert trace_digest(again) == PINNED[name]
     assert trace_digest(programs[name]) == PINNED[name]
+
+
+def test_run_reads_back_only_to_close_a_lambda(programs, monkeypatch):
+    # binding extends an environment; only `[⊸]EC` reads a term back, to close a
+    # lambda body, and `run` takes no snapshot
+    rules, calls = [], []
+    rule_for, read_back = M._rule_for, M.read_back
+
+    def spy_rule(top, t, env):
+        rule = rule_for(top, t, env)
+        rules.append(rule and rule[0])
+        return rule
+
+    monkeypatch.setattr(M, "_rule_for", spy_rule)
+    monkeypatch.setattr(M, "read_back", lambda *a: calls.append(rules[-1]) or read_back(*a))
+    for name in ("map8", "dlist16"):
+        assert isinstance(M.run_term(programs[name], 10**6), M.Finished)
+    assert calls and set(calls) == {"[⊸]EC"}
+    assert "⊸EC" in rules and "⊗EC" in rules and "fixC" in rules and "⋉OP" in rules
 
 
 def test_checks_by_levels_match_whole_checks(env, programs):
