@@ -14,7 +14,6 @@ from destcalc import harness as H
 from destcalc import machine as M
 from destcalc import syntax as S
 from destcalc.cli import print_command
-from destcalc.modes import ONE_INF, UNIT
 from destcalc.prelude import _read, load_source
 from destcalc.printer import print_value
 from destcalc.typecheck import Checker
@@ -37,12 +36,20 @@ PINNED = {
     "shadow": "44936428179aa9eebe5916ead3bc1b8153369b5a2da36ad35b5384e07ec8ebc1",
     "hole_max": "8d51165f032ac58c6592c8c98f4db0cb742dceda0cc053486cf752d564588822",
     "fix_outer": "a66a59a76fc2e015a5777d3c302cd7e3e95f6fde8c5d55471fbf6e2ac3ba123b",
+    "bang_slots": "828f41fdb71c0dbc5867aee276f2be5c05c158109a3a6aeec9091ef40bea8dd2",
+    "sum_slots": "5dd0fdbcd9cac583f945b33c6070687787ca98e9b492d9cbc2318f6b5ceb5790",
+    "fun_slot": "ad463869634f1bbb1197ed65bd55c18d25b3e6279915895cf6e280962fb411a9",
+    "comp_slots": "5f70f6bcb182f4b0211db0742c864e994d6e08c824517fc85b5268f5a715d794",
+    "to_slot": "d6c82997fdca868c59b43138e3a3e40a97c2eb25773b8943f7177690cfe3a02d",
 }
 
 # programs that bind under an environment: a `case` that shadows a bound
 # difference list while its frame is on the stack; a bound difference list
 # that holds the context's largest hole name while a frame pushed under it
-# does not mention it; a `fix` whose body reads a variable bound outside it
+# does not mention it; a `fix` whose body reads a variable bound outside it.
+# Then programs that put an application in each slot the library never
+# focuses on: a `Mod` case's scrutinee, the destination of `<| Mod`, `<| Inl`,
+# `<| Inr`, `<| Fun` and `<o`, the child of `<o`, and the operand of `to*`
 SOURCES = {
     "shadow": r"""
 def shadowBody : DList Nat -o List Nat * List Nat =
@@ -68,6 +75,38 @@ def fixOuter : List Nat =
   from'* (upd (new* : List Nat >< Dest (List Nat)) with dl ->
     fillAll 9 (consN 1 (consN 2 nilN)) dl)
 main = fixOuter
+""",
+    "bang_slots": r"""
+def idBangDest : Dest (![1 inf] Nat) -o Dest (![1 inf] Nat) = \d -> d
+def idBang : ![1 inf] Nat -o ![1 inf] Nat = \b -> b
+def bangSlots : Nat =
+  case (idBang (from'* (upd (new* : (![1 inf] Nat) >< Dest (![1 inf] Nat)) with d ->
+    (idBangDest d) <| Mod [1 inf] <! 5))) of Mod [1 inf] n -> n
+main = bangSlots
+""",
+    "sum_slots": r"""
+def idBoolDest : Dest Bool -o Dest Bool = \d -> d
+def sumSlots : Bool * Bool =
+  (from'* (upd (new* : Bool >< Dest Bool) with d -> (idBoolDest d) <| Inl <| Unit),
+   from'* (upd (new* : Bool >< Dest Bool) with d -> (idBoolDest d) <| Inr <| Unit))
+main = sumSlots
+""",
+    "fun_slot": r"""
+def idFunDest : Dest (Nat -o Nat) -o Dest (Nat -o Nat) = \d -> d
+def funSlot : Nat =
+  (from'* (upd (new* : (Nat -o Nat) >< Dest (Nat -o Nat)) with d ->
+    (idFunDest d) <| Fun x -> succ x)) 3
+main = funSlot
+""",
+    "comp_slots": r"""
+def idListDest : Dest (List Nat) -o Dest (List Nat) = \d -> d
+def compSlots : List Nat =
+  toListN (upd (dsingleN 1) with d -> (idListDest d) <o (dsingleN 2))
+main = compSlots
+""",
+    "to_slot": r"""
+def toSlot : Nat = from'* (to* (succ 2))
+main = toSlot
 """,
 }
 
@@ -235,20 +274,6 @@ def _round_trip(rule, cmd, nxt, reached):
     reached.add((frame.cls, frame.slot))
 
 
-# a node per frame the pinned traces never push, its slot a term that steps
-_NEW = S.NewAmpar(None)
-_HAND_BUILT = [
-    (S.CaseBang(UNIT, _NEW, ONE_INF, "x", S.Var("x")), S.Val(S.ModV(ONE_INF, S.UnitV()))),
-    (S.ToAmpar(_NEW), S.Val(S.UnitV())),
-    (S.FillInl(_NEW), S.Val(S.DestV(1))),
-    (S.FillInr(_NEW), S.Val(S.DestV(1))),
-    (S.FillBang(_NEW, ONE_INF), S.Val(S.DestV(1))),
-    (S.FillFun(_NEW, "x", UNIT, S.Var("x")), S.Val(S.DestV(1))),
-    (S.FillComp(_NEW, S.Var("c")), S.Val(S.DestV(1))),
-    (S.FillComp(S.Val(S.DestV(1)), _NEW), S.Val(S.AmparV(frozenset(), S.UnitV(), S.UnitV()))),
-]
-
-
 def test_frames_round_trip(programs):
     reached = set()
     for name in sorted(PINNED):
@@ -256,9 +281,4 @@ def test_frames_round_trip(programs):
         for rule, nxt in steps:
             _round_trip(rule, cmd, nxt, reached)
             cmd = nxt
-    for node, value in _HAND_BUILT:
-        pushed = M.step(M.Command((), node))
-        _round_trip(pushed.rule, M.Command((), node), pushed.command, reached)
-        popped = M.step(M.Command(pushed.command.ctx, value))
-        _round_trip(popped.rule, M.Command(pushed.command.ctx, value), popped.command, reached)
     assert reached == set(M.FRAMES)
