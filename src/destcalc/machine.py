@@ -7,10 +7,13 @@ node as a frame and focuses on the slot's term; never fires when that term
 is already a value), unfocusing (U, pops a frame and plugs the value focus
 into its slot) and contraction (C, rewrites a redex).  One frame table,
 keyed on the node class and the slot, gives each frame its focusing and
-unfocusing rules and its printed form; a frame carries its entry.  Fresh
-hole names come from max-based formulas over the names in the context, so
-runs are fully deterministic.  Each rule is one entry of a table, found by
-the type of the focus, or by the top frame when the focus is a value.
+unfocusing rules and its printed form; a frame carries its entry.  A
+class's rows of the frame table, in order, are the fields a focus of that
+class is focused on until each holds a value; then its row of the
+contraction table gives the rule, or none, and the machine is stuck.  A
+value focus finds its rule by the top frame.  Fresh hole names come from
+max-based formulas over the names in the context, so runs are fully
+deterministic.
 
 Cost model.  The running machine is an environment machine (Felleisen and
 Friedman's CEK machine): its focus is a term plus an environment that maps
@@ -652,18 +655,16 @@ class _State:
     other than open ampars.  It is filled in up to the top when a rule
     mints a name (`ctx_max`), so a frame popped before that costs no walk.
     `open_at` are the positions of the open ampars, whose largest names
-    change as holes are written.  `seen` and `shown` are the components of
-    the last snapshot and their classic forms.  `memo` keeps what was read
-    back (`read_back`) when the state takes snapshots, so its commands
-    share nodes; `run` keeps none.
+    change as holes are written.  `memo` keeps what was read back
+    (`read_back`) when the state takes snapshots, so its commands share
+    nodes; `run` keeps none.
     """
 
-    __slots__ = ("ctx", "maxes", "open_at", "focus", "env", "seen", "shown", "memo")
+    __slots__ = ("ctx", "maxes", "open_at", "focus", "env", "memo")
 
     def __init__(self, focus, memo=None):
         self.ctx, self.maxes, self.open_at = [], [0], []
-        self.focus, self.env = focus, _EMPTY
-        self.seen, self.shown, self.memo = [], [], memo
+        self.focus, self.env, self.memo = focus, _EMPTY, memo
 
     @classmethod
     def load(cls, cmd: Command, memo=None) -> "_State":
@@ -740,21 +741,10 @@ class _State:
         self.focus = focus
 
     def snapshot(self) -> Command:
-        """The classic command; the frames the last snapshot read back are kept."""
-        ctx, seen, shown = self.ctx, self.seen, self.shown
-        # a component pushed since the last snapshot is a new object, and so is
-        # everything above it: below the lowest one, the last snapshot holds
-        i = min(len(seen), len(ctx))
-        while i and seen[i - 1] is not ctx[i - 1]:
-            i -= 1
-        del seen[i:], shown[i:]
-        for e in ctx[i:]:
-            seen.append(e)
-            shown.append(e.read_back(self.memo) if type(e) is Frame else e)
-        out = shown.copy()
-        for i in self.open_at:
-            out[i] = ctx[i].snapshot()
-        return Command(tuple(out), read_back(self.focus, self.env, self.memo))
+        """The classic command; each component keeps its own classic form."""
+        memo = self.memo
+        ctx = tuple([e.read_back(memo) if type(e) is Frame else e.snapshot() for e in self.ctx])
+        return Command(ctx, read_back(self.focus, self.env, memo))
 
     def step(self):
         """Apply the one applicable rule; its name, or Final/Stuck."""
@@ -790,8 +780,9 @@ def _renamed(av, d: int):
 
 # ---------------------------------------------------------------------------
 # The rule table.  A rule is a constant (name, act) pair; act(st, t) rewrites
-# the running state st whose focus is t.  A term focus finds its rule by its
-# type and the values in it; a value focus by the top frame.
+# the running state st whose focus is t.  A value focus finds its rule by the
+# top frame; a term focus by its class, from the frame table and the
+# contraction table (`_matcher`).
 
 
 def _rule_for(top, t, env):
@@ -824,9 +815,10 @@ class FrameKind(NamedTuple):
 
 
 # The frame table: (node class, focused field) -> (focusing rule, unfocusing
-# rule, print format).  In a format `[]` is the slot, `{f}` is field f as it is
-# and `{f:p}` the term in field f printed at precedence p; cases and `Fun` omit
-# their mode.
+# rule, print format).  A class's rows, in order, are the fields its focusing
+# rules focus on, each until it holds a value.  In a format `[]` is the slot,
+# `{f}` is field f as it is and `{f:p}` the term in field f printed at
+# precedence p; cases and `Fun` omit their mode.
 _FRAME_TABLE = {
     (S.App, "arg"): ("⊸EF₁", "⊸EU₁", "{fn:2} []"),
     (S.App, "fn"): ("⊸EF₂", "⊸EU₂", "[] {arg:3}"),
@@ -875,29 +867,6 @@ def _frame_kind(cls, field, focus, unfocus, fmt):
 FRAMES = dict(_frame_kind(cls, f, *row) for (cls, f), row in _FRAME_TABLE.items())
 
 
-def _focus(cls, field):
-    """The rule that focuses on `field` of a node of class cls."""
-    return FRAMES[cls, S.field_order(cls).index(field)].focus
-
-
-def _on_value(cls, field, contract):
-    """Match a node on one field: focus on the field until it is a value, then the
-    rule `contract` gives for that value's type (none: stuck)."""
-    get, focus = operator.attrgetter(field), _focus(cls, field)
-
-    def match(t, env):
-        x = get(t)
-        if type(x) is S.Val:
-            return contract.get(type(x.value))
-        if type(x) is S.Var:
-            v = env.get(x.name)
-            if v is not None and type(v) is not Closure:
-                return contract.get(type(v))
-        return focus
-
-    return match
-
-
 def _open(st, t):
     av = _value(t.scrut, st.env)
     d = max(max(av.holes), st.ctx_max()) + 1 - min(av.holes) if av.holes else 0
@@ -905,28 +874,20 @@ def _open(st, t):
     st.push_open(OpenCells(root, cells, static), t.body, _bound(st.env, t.body, t.var, right))
 
 
-def _fill_sum(st, t):
-    h = _value(t.dest, st.env).hole
-    n = st.fresh_base(h) + 1
-    cell = Cell()
-    hollow = S.InlV(cell) if type(t) is S.FillInl else S.InrV(cell)
-    st.write(h, hollow, S.Val(S.DestV(n)), binds=((n, cell),))
+def _fill(hollow, arity):
+    """The act that writes hollow(t, *cells), a constructor over `arity` new hole
+    cells named above every live name, and focuses on their destinations."""
 
+    def act(st, t):
+        h = _value(t.dest, st.env).hole
+        base = st.fresh_base(h)
+        names = range(base + 1, base + 1 + arity)
+        cells = [Cell() for _ in names]
+        dests = [S.DestV(n) for n in names]
+        focus = S.Val(S.PairV(*dests) if arity == 2 else dests[0])
+        st.write(h, hollow(t, *cells), focus, binds=zip(names, cells))
 
-def _fill_pair(st, t):
-    h = _value(t.dest, st.env).hole
-    base = st.fresh_base(h)
-    n1, n2 = base + 1, base + 2
-    c1, c2 = Cell(), Cell()
-    focus = S.Val(S.PairV(S.DestV(n1), S.DestV(n2)))
-    st.write(h, S.PairV(c1, c2), focus, binds=((n1, c1), (n2, c2)))
-
-
-def _fill_bang(st, t):
-    h = _value(t.dest, st.env).hole
-    n = st.fresh_base(h) + 1
-    cell = Cell()
-    st.write(h, S.ModV(t.mode, cell), S.Val(S.DestV(n)), binds=((n, cell),))
+    return act
 
 
 def _fill_fun(st, t):
@@ -938,7 +899,7 @@ def _fill_fun(st, t):
     free = free_vars_cached(body) - {t.var}
     if free:
         raise OpenLambda(free)
-    lam = S.LamV(t.var, t.mode, body, t.param_ty_)
+    lam = S.LamV(t.var, t.mode, body, t.param_ty_, t.cod_ty_)
     st.write(_value(t.dest, st.env).hole, lam, S.Val(S.UnitV()), hmax_value(lam))
 
 
@@ -954,44 +915,9 @@ def _fill_leaf(st, t):
     st.write(_value(t.dest, st.env).hole, v, S.Val(S.UnitV()), hmax_value(v))
 
 
-def _match_app(t, env):
-    if _value(t.arg, env) is None:
-        return _APP_F1
-    fn = _value(t.fn, env)
-    if fn is None:
-        return _APP_F2
-    return _APP_C if type(fn) is S.LamV else None
-
-
 def _apply(st, t):
     lam, env = _value(t.fn, st.env), st.env
     st.refocus(lam.body, _bound(_EMPTY, lam.body, lam.var, _value(t.arg, env)))
-
-
-_APP_F1 = _focus(S.App, "arg")
-_APP_F2 = _focus(S.App, "fn")
-_APP_C = ("⊸EC", _apply)
-
-
-def _match_case_bang(t, env):
-    v = _value(t.scrut, env)
-    if v is None:
-        return _BANG_F
-    return _BANG_C if type(v) is S.ModV and v.mode == t.inner_mode else None
-
-
-_BANG_F = _focus(S.CaseBang, "scrut")
-_BANG_C = ("!EC", lambda st, t: st.refocus(
-    t.body, _bound(st.env, t.body, t.var, _value(t.scrut, st.env).value)))
-
-
-def _match_from(t, env):
-    v = _value(t.inner, env)
-    if v is None:
-        return _FROM_F
-    if type(v) is S.AmparV and type(v.right) is S.ModV and v.right.mode == ONE_INF:
-        return _FROM_C
-    return None
 
 
 def _left(av):
@@ -1003,52 +929,6 @@ def _left(av):
 def _from(st, t):
     av = _value(t.inner, st.env)
     st.refocus(S.Val(S.PairV(_left(av), av.right)), _EMPTY)
-
-
-_FROM_F = _focus(S.FromAmpar, "inner")
-_FROM_C = ("⋉FROMC", _from)
-
-
-def _match_from_prime(t, env):
-    v = _value(t.inner, env)
-    if v is None:
-        return _FROMP_F
-    return _FROMP_C if type(v) is S.AmparV and type(v.right) is S.UnitV else None
-
-
-_FROMP_F = _focus(S.FromAmparPrime, "inner")
-_FROMP_C = ("⋉FROM′C", lambda st, t: st.refocus(S.Val(_left(_value(t.inner, st.env))), _EMPTY))
-
-
-def _match_fill_comp(t, env):
-    dest = _value(t.dest, env)
-    if dest is None:
-        return _COMP_F1
-    child = _value(t.child, env)
-    if child is None:
-        return _COMP_F2
-    if type(dest) is S.DestV and type(child) is S.AmparV:
-        return _COMP_C
-    return None
-
-
-_COMP_F1 = _focus(S.FillComp, "dest")
-_COMP_F2 = _focus(S.FillComp, "child")
-_COMP_C = ("[]E_cC", _compose)
-
-
-def _match_fill_leaf(t, env):
-    dest = _value(t.dest, env)
-    if dest is None:
-        return _LEAF_F1
-    if _value(t.arg, env) is None:
-        return _LEAF_F2
-    return _LEAF_C if type(dest) is S.DestV else None
-
-
-_LEAF_F1 = _focus(S.FillLeaf, "dest")
-_LEAF_F2 = _focus(S.FillLeaf, "arg")
-_LEAF_C = ("[]E_LC", _fill_leaf)
 
 
 _ONE = frozenset({1})
@@ -1078,40 +958,78 @@ def _case_pair(st, t):
     st.refocus(t.body, _bound(env, t.body, t.var1, v.fst, t.var2, v.snd))
 
 
-_NEW = ("⋉NEWC", _new)
-_FIX = ("fixC", _unroll)
-_TO_F = _focus(S.ToAmpar, "inner")
-_TO_C = ("⋉TOC", lambda st, t: st.refocus(
-    S.Val(S.AmparV(frozenset(), _value(t.inner, st.env), S.UnitV())), _EMPTY))
+def _dest(t, d):
+    return type(d) is S.DestV
 
-_MATCH = {
-    S.App: _match_app,
-    S.Seq: _on_value(S.Seq, "first", {
-        S.UnitV: ("1EC", lambda st, t: st.refocus(t.rest, st.env))}),
-    S.CaseSum: _on_value(S.CaseSum, "scrut", {
-        S.InlV: ("⊕EC₁", _case_sum),
-        S.InrV: ("⊕EC₂", _case_sum),
-    }),
-    S.CasePair: _on_value(S.CasePair, "scrut", {S.PairV: ("⊗EC", _case_pair)}),
-    S.CaseBang: _match_case_bang,
-    S.UpdWith: _on_value(S.UpdWith, "scrut", {S.AmparV: ("⋉OP", _open)}),
-    S.ToAmpar: lambda t, env: _TO_F if _value(t.inner, env) is None else _TO_C,
-    S.FromAmpar: _match_from,
-    S.FromAmparPrime: _match_from_prime,
-    S.NewAmpar: lambda t, env: _NEW,
-    S.FillUnit: _on_value(S.FillUnit, "dest", {
-        S.DestV: ("[1]EC", lambda st, t: st.write(
-            _value(t.dest, st.env).hole, S.UnitV(), S.Val(S.UnitV()))),
-    }),
-    S.FillInl: _on_value(S.FillInl, "dest", {S.DestV: ("[⊕]E₁C", _fill_sum)}),
-    S.FillInr: _on_value(S.FillInr, "dest", {S.DestV: ("[⊕]E₂C", _fill_sum)}),
-    S.FillPair: _on_value(S.FillPair, "dest", {S.DestV: ("[⊗]EC", _fill_pair)}),
-    S.FillBang: _on_value(S.FillBang, "dest", {S.DestV: ("[!]EC", _fill_bang)}),
-    S.FillFun: _on_value(S.FillFun, "dest", {S.DestV: ("[⊸]EC", _fill_fun)}),
-    S.FillComp: _match_fill_comp,
-    S.FillLeaf: _match_fill_leaf,
-    S.Fix: lambda t, env: _FIX,
+
+_INJECTIONS = {S.InlV: 1, S.InrV: 2}
+
+# The contraction table: node class -> (rule name, guard, act).  When every
+# field the frame table lists for the class holds a value, guard(t, *values),
+# the values in the frame table's order, numbers the rule that fires: True
+# (1) for the row's, False (0) for none, and the machine is stuck.  `⊕EC` is
+# one rule per injection, so its row names two and its guard returns 1 or 2.
+# A class no frame focuses has no guard.
+_CONTRACTIONS = {
+    S.App: ("⊸EC", lambda t, arg, fn: type(fn) is S.LamV, _apply),
+    S.Seq: ("1EC", lambda t, v: type(v) is S.UnitV, lambda st, t: st.refocus(t.rest, st.env)),
+    S.CaseSum: ("⊕EC₁ ⊕EC₂", lambda t, v: _INJECTIONS.get(type(v), 0), _case_sum),
+    S.CasePair: ("⊗EC", lambda t, v: type(v) is S.PairV, _case_pair),
+    S.CaseBang: ("!EC", lambda t, v: type(v) is S.ModV and v.mode == t.inner_mode,
+                 lambda st, t: st.refocus(
+                     t.body, _bound(st.env, t.body, t.var, _value(t.scrut, st.env).value))),
+    S.UpdWith: ("⋉OP", lambda t, v: type(v) is S.AmparV, _open),
+    S.ToAmpar: ("⋉TOC", lambda t, v: True, lambda st, t: st.refocus(
+        S.Val(S.AmparV(frozenset(), _value(t.inner, st.env), S.UnitV())), _EMPTY)),
+    S.FromAmpar: ("⋉FROMC", lambda t, v: (type(v) is S.AmparV and type(v.right) is S.ModV
+                                          and v.right.mode == ONE_INF), _from),
+    S.FromAmparPrime: ("⋉FROM′C", lambda t, v: type(v) is S.AmparV and type(v.right) is S.UnitV,
+                       lambda st, t: st.refocus(S.Val(_left(_value(t.inner, st.env))), _EMPTY)),
+    S.NewAmpar: ("⋉NEWC", None, _new),
+    S.FillUnit: ("[1]EC", _dest, lambda st, t: st.write(
+        _value(t.dest, st.env).hole, S.UnitV(), S.Val(S.UnitV()))),
+    S.FillInl: ("[⊕]E₁C", _dest, _fill(lambda t, c: S.InlV(c), 1)),
+    S.FillInr: ("[⊕]E₂C", _dest, _fill(lambda t, c: S.InrV(c), 1)),
+    S.FillPair: ("[⊗]EC", _dest, _fill(lambda t, c1, c2: S.PairV(c1, c2), 2)),
+    S.FillBang: ("[!]EC", _dest, _fill(lambda t, c: S.ModV(t.mode, c), 1)),
+    S.FillFun: ("[⊸]EC", _dest, _fill_fun),
+    S.FillComp: ("[]E_cC", lambda t, d, c: type(d) is S.DestV and type(c) is S.AmparV, _compose),
+    S.FillLeaf: ("[]E_LC", lambda t, d, v: type(d) is S.DestV, _fill_leaf),
+    S.Fix: ("fixC", None, _unroll),
 }
+
+
+def _matcher(cls, name, guard, act):
+    """The rule for a focus of class cls: the focusing rule of the first field the
+    frame table lists for cls that holds no value, else the contraction the
+    guard gives for the values, or None.  Specialised by the number of such
+    fields, so a step builds no list of values."""
+    rules = (None, *((n, act) for n in name.split()))
+    fields = [(operator.attrgetter(kind.names[slot]), kind.focus)
+              for (c, slot), kind in FRAMES.items() if c is cls]
+    if not fields:
+        return lambda t, env: rules[1]
+    if len(fields) == 1:
+        (get, focus), = fields
+
+        def match(t, env):
+            v = _value(get(t), env)
+            return focus if v is None else rules[guard(t, v)]
+
+        return match
+    (get1, focus1), (get2, focus2) = fields
+
+    def match2(t, env):
+        a = _value(get1(t), env)
+        if a is None:
+            return focus1
+        b = _value(get2(t), env)
+        return focus2 if b is None else rules[guard(t, a, b)]
+
+    return match2
+
+
+_MATCH = {cls: _matcher(cls, *row) for cls, row in _CONTRACTIONS.items()}
 
 
 def applicable_rules(cmd: Command) -> List[str]:

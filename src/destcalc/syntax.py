@@ -3,8 +3,8 @@
 Core terms follow the destination-calculus grammar exactly; everything a
 surface program writes beyond it (constructors, lambdas, literals) is
 sugar that `desugar` expands.  Term nodes carry a source position and,
-after the checker has run, elaboration stamps (scrutinee/parameter
-types) that later phases read; both are ignored by equality.
+after the checker has run, elaboration stamps (scrutinee, parameter
+and codomain types) that later phases read; both are ignored by equality.
 """
 
 from __future__ import annotations
@@ -213,6 +213,7 @@ class FillFun:
     body: "Term"
     pos: Pos = _meta()
     param_ty_: Optional[Type] = _meta()
+    cod_ty_: Optional[Type] = _meta()
 
 
 @dataclass(eq=True)
@@ -320,6 +321,7 @@ class LamV:
     mode: Mode
     body: "Term"
     param_ty_: Optional[Type] = _meta()
+    cod_ty_: Optional[Type] = _meta()
 
 
 Value = Union[HoleV, DestV, AmparV, UnitV, InlV, InrV, ModV, PairV, LamV]

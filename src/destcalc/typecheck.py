@@ -10,7 +10,7 @@ a member of its achievable set.  Types flow bidirectionally: everything
 synthesizes except `new*`, which takes its type from an annotation or
 from the expected type reaching it.
 
-Checking stamps scrutinee and parameter types onto the visited nodes, so
+Checking stamps scrutinee, parameter and codomain types onto the visited nodes, so
 commands the machine later builds out of those nodes can be re-checked
 mid-trace (preservation) without re-running global inference.  A command
 is its context's components wrapped around its focus, and consecutive
@@ -746,7 +746,7 @@ class Checker:
                     % (print_mode(t.mode), print_type(d.inner)),
                     t, expected=arr.mode, got=t.mode,
                 )
-            t.param_ty_ = arr.dom
+            t.param_ty_, t.cod_ty_ = arr.dom, arr.cod
             g = dict(gamma)
             g[t.var] = VarB(t.mode, arr.dom)
             _, bu = self.infer(g, t.body, arr.cod)
@@ -999,6 +999,8 @@ class Checker:
             if dom is None:
                 raise _Unsynthesizable(None, "lambda value with no expected type")
             v.param_ty_ = dom
+            if cod_exp is None:
+                cod_exp = v.cod_ty_
             g = {k: b for k, b in theta.items() if isinstance(b, DestB)}
             g[v.var] = VarB(v.mode, dom)
             cod, bu = self.infer(g, v.body, cod_exp)

@@ -53,6 +53,22 @@ def test_parse_error_exit_code(tmp_path):
     assert r.stderr.count("\n") == 1 and r.stderr.startswith("parse error at 1:")
 
 
+def test_verify_checks_a_lambda_body_whose_tail_is_a_bound_numeral(tmp_path):
+    # mid-trace, the lambda `go` unrolls to has `n` read back into its body, so
+    # `u ; 2` is checked against the codomain the lambda value keeps
+    f = tmp_path / "fix_outer.ld"
+    f.write_text(
+        "def fixOuterBody : Nat -o[w inf] Nat = \\n [w inf] ->\n"
+        "  (fix go : (Nat -o Nat) -> \\k -> case k of { Inl u -> u ; n, Inr k2 -> go k2 }) 3\n"
+        "def fixOuter : Nat = fixOuterBody 2\n"
+        "main = fixOuter\n")
+    r = cli("run", "--verify", "--json", str(f))
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
+    assert out["final"] == "Inr (Inr (Inl ()))"
+    assert all(out["verdicts"].values())
+
+
 def test_fuel_exhaustion_exit_code(tmp_path):
     f = tmp_path / "loop.ld"
     f.write_text("def loop : Nat = fix x : Nat -> x\nmain = loop")

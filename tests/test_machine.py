@@ -54,6 +54,38 @@ def test_final_and_stuck():
     assert isinstance(M.step(bad), M.Stuck)
 
 
+_UNIT = S.Val(S.UnitV())
+
+
+def _ampar(right):
+    return S.Val(S.AmparV(frozenset(), S.UnitV(), right))
+
+
+# one command per guarded contraction, its slots holding values the guard rejects
+_FAILED_GUARDS = {
+    "app of a non-lambda": S.App(_UNIT, _UNIT),
+    "Mod case of another mode": S.CaseBang(UNIT, S.Val(S.ModV(ONE_INF, S.UnitV())), UNIT, "x",
+                                           S.Var("x")),
+    "from* of a unit right side": S.FromAmpar(_ampar(S.UnitV())),
+    "from* of a Mod right side of another mode": S.FromAmpar(_ampar(S.ModV(UNIT, S.UnitV()))),
+    "from'* of a non-unit right side": S.FromAmparPrime(_ampar(S.ModV(ONE_INF, S.UnitV()))),
+    "<o of a non-ampar": S.FillComp(S.Val(S.DestV(1)), _UNIT),
+    "<o into a non-destination": S.FillComp(_UNIT, _ampar(S.UnitV())),
+    "<! into a non-destination": S.FillLeaf(_UNIT, _UNIT),
+    "<| into a non-destination": S.FillInl(_UNIT),
+    "upd of a non-ampar": S.UpdWith(_UNIT, "d", S.Var("d")),
+    "pair case of a non-pair": S.CasePair(UNIT, _UNIT, "a", "b", S.Var("a")),
+    "sequence after a non-unit": S.Seq(S.Val(S.DestV(1)), _UNIT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILED_GUARDS))
+def test_failed_guard_is_stuck(name):
+    cmd = M.Command((), _FAILED_GUARDS[name])
+    assert isinstance(M.step(cmd), M.Stuck)
+    assert M.applicable_rules(cmd) == []
+
+
 def test_star_side_condition():
     # a focusing rule never fires once the would-be focus is a value
     t = S.FillInl(S.Val(S.DestV(3)))

@@ -164,6 +164,16 @@ def test_shared_runnables_trace_the_same_again(env, programs, name):
     assert trace_digest(programs[name]) == PINNED[name]
 
 
+def test_pinned_traces_fire_every_rule(programs):
+    # every focusing, unfocusing and contraction rule the tables hold is pinned
+    fired = set()
+    for name in PINNED:
+        fired.update(M.run_term(programs[name], 10**6).trace.steps.rules)
+    frames = {rule[0] for kind in M.FRAMES.values() for rule in (kind.focus, kind.unfocus)}
+    contractions = {n for name, _, _ in M._CONTRACTIONS.values() for n in name.split()}
+    assert fired == frames | contractions | {"⋉CL"}
+
+
 def test_run_reads_back_only_to_close_a_lambda(programs, monkeypatch):
     # binding extends an environment; only `[⊸]EC` reads a term back, to close a
     # lambda body, and `run` takes no snapshot
