@@ -23,12 +23,15 @@ was cut from.  A field that is a variable the environment binds to a value
 counts as that value wherever a rule matches.  The binding rules (`⊸EC`,
 `⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an environment and build no
 term node; an environment holds only free variables of the node it was
-made for, so bindings do not pile up.  Only `[⊸]EC` substitutes while the
-machine runs: a lambda value is closed, so its body is read back
-(`read_back`), which rebuilds the nodes on the paths to the variables it
-puts in and stores on each its free variables and largest hole name.
-Each frame's largest hole name is that of its other children plus that of
-the bound values they mention, found without reading anything back.
+made for, so bindings do not pile up.  Nothing is read back while `run`
+runs: a lambda value `[⊸]EC` builds under a non-empty environment keeps its
+body term and that environment (a `Closure`), and `⊸EC` binds its argument
+over them.  Reading back (`read_back`) rebuilds the nodes on the paths to
+the variables it puts in and stores on each its free variables and largest
+hole name; only snapshots and the first access to such a lambda's `body`
+do it.  The largest hole name of each frame and of each lambda value is
+that of its term plus that of the bound values it mentions, found without
+reading anything back.
 
 The machine keeps the structure under construction of each open ampar as
 a heap of hole cells indexed by hole name, as Minamide's data structures
@@ -47,10 +50,10 @@ origin and reading each command back into classic `syntax` terms.  A
 frame is read back once and shared by every later command; one with an
 empty environment is its own classic form.  Classic values and
 `Command`s are all that leaves the machine; a closed ampar it built reads
-its `left` from its cells on first access.  The hole-name walks (names,
-shifts, cells of a structure, canonical renaming) are visitors on
-`syntax.walk`, which keeps its own stack, so deep values and terms do not
-exhaust Python's recursion limit.
+its `left` from its cells on first access, and a lambda its `body` from
+its `Closure`.  The hole-name walks (names, shifts, cells of a structure,
+canonical renaming) are visitors on `syntax.walk`, which keeps its own
+stack, so deep values and terms do not exhaust Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -334,18 +337,23 @@ _EMPTY = {}  # the environment of a term with no bound free variable; never writ
 
 
 class Closure:
-    """What a variable `fixC` binds stands for: its `fix` node under the node's environment."""
+    """A term under an environment: what a variable `fixC` binds stands for (its
+    `fix` node), or the body of a lambda value the machine built.
 
-    __slots__ = ("fix", "env")
+    `memo` is that of the state that made it (`read_back`).
+    """
 
-    def __init__(self, fix, env: dict):
-        self.fix, self.env = fix, env
+    __slots__ = ("term", "env", "memo")
 
-    def read_back(self, memo=None):
-        return read_back(self.fix, self.env, memo)
+    def __init__(self, term, env: dict, memo: dict = None):
+        self.term, self.env, self.memo = term, env, memo
+
+    def read(self):
+        """The classic term: `term` read back under `env`."""
+        return read_back(self.term, self.env, self.memo)
 
     def hmax(self) -> int:
-        return _hmax_in(self.fix, self.env)
+        return _hmax_in(self.term, self.env)
 
 
 def _hmax_in(t, env, bound=()) -> int:
@@ -362,6 +370,18 @@ def _hmax_in(t, env, bound=()) -> int:
                     if hv > h:
                         h = hv
     return h
+
+
+def _free_under(t, env) -> set:
+    """The free variables of t read back under env, found without reading it back."""
+    free = set()
+    for y in free_vars_cached(t):
+        v = env.get(y)
+        if v is None:
+            free.add(y)
+        elif type(v) is Closure:
+            free |= _free_under(v.term, v.env)
+    return free
 
 
 def _unbound(env, fields, scope) -> dict:
@@ -423,7 +443,7 @@ def _back(t, env, memo, fixes):
     if memo is not None:  # keyed on t and the values it reads, whatever else env binds
         vals = tuple(map(env.get, fv))
         if fixes:  # closures of equal fix nodes are one value
-            vals = tuple([v.read_back(memo) if type(v) is Closure else v for v in vals])
+            vals = tuple([v.read() if type(v) is Closure else v for v in vals])
         key = (id(t), *map(id, vals))
         hit = memo.get(key)
         if hit is not None:
@@ -432,7 +452,7 @@ def _back(t, env, memo, fixes):
     if cls is S.Var:
         v = env[t.name]
         if type(v) is Closure:
-            return v.read_back(memo)
+            return v.read()
         node = S.Val(v, t.pos)
         d = node.__dict__
         d["_fv"], d["_hmax"] = _NO_VARS, hmax_value(v)
@@ -463,7 +483,7 @@ def _back(t, env, memo, fixes):
     if fixes:  # a fix node read back may keep a variable nothing binds
         for v in map(env.get, fv):
             if type(v) is Closure:
-                out = out.union(free_vars_cached(v.read_back(memo)))
+                out = out.union(free_vars_cached(v.read()))
     d = node.__dict__
     d["_fv"], d["_hmax"] = out or _NO_VARS, h
     if memo is not None:
@@ -698,7 +718,7 @@ class _State:
         if type(focus) is S.Var:
             v = env.get(focus.name)
             if type(v) is Closure:
-                focus, env = v.fix, v.env
+                focus, env = v.term, v.env
             elif v is not None:
                 focus = S.Val(v, focus.pos) if self.memo is None else read_back(focus, env, self.memo)
                 env = _EMPTY
@@ -707,7 +727,7 @@ class _State:
     def close(self, right):
         o = self.ctx[-1]
         shape = Shape(o.root, o.cells, o.static)
-        self.pop(S.Val(S.AmparV.with_shape(frozenset(o.cells), shape, right)), _EMPTY)
+        self.pop(S.Val(S.AmparV.lazy(shape, holes=frozenset(o.cells), right=right)), _EMPTY)
 
     def ctx_max(self) -> int:
         maxes = self.maxes
@@ -855,7 +875,7 @@ def _frame_kind(cls, field, focus, unfocus, fmt):
         if type(focus) is S.Var:  # not bound to a value, or the rule would not fire
             c = env.get(focus.name)
             if c is not None:
-                focus, env = c.fix, c.env
+                focus, env = c.term, c.env
         st.push(frame, focus, env)
 
     scoped = tuple((i, scope) for i, scope in kids if i != slot)
@@ -891,16 +911,21 @@ def _fill(hollow, arity):
 
 
 def _fill_fun(st, t):
-    # the one rule that substitutes: a lambda value is closed
-    env = st.env
-    if t.var in env:
-        env = {n: v for n, v in env.items() if n != t.var}
-    body = read_back(t.body, env, st.memo)
-    free = free_vars_cached(body) - {t.var}
+    # a lambda value keeps its body under the environment of the variables it
+    # reads that the lambda does not bind; its classic body is read on first access
+    env = _bound(st.env, t.body)
+    if t.var in env:  # a new dict: `_bound` copies what it keeps
+        del env[t.var]
+    free = _free_under(t.body, env) - {t.var}
     if free:
         raise OpenLambda(free)
-    lam = S.LamV(t.var, t.mode, body, t.param_ty_, t.cod_ty_)
-    st.write(_value(t.dest, st.env).hole, lam, S.Val(S.UnitV()), hmax_value(lam))
+    if env:
+        lam = S.LamV.lazy(Closure(t.body, env, st.memo), var=t.var, mode=t.mode,
+                          param_ty_=t.param_ty_, cod_ty_=t.cod_ty_)
+    else:
+        lam = S.LamV(t.var, t.mode, t.body, t.param_ty_, t.cod_ty_)
+    h = lam.__dict__["_hmax"] = _hmax_in(t.body, env)
+    st.write(_value(t.dest, st.env).hole, lam, S.Val(S.UnitV()), h)
 
 
 def _compose(st, t):
@@ -916,8 +941,12 @@ def _fill_leaf(st, t):
 
 
 def _apply(st, t):
-    lam, env = _value(t.fn, st.env), st.env
-    st.refocus(lam.body, _bound(_EMPTY, lam.body, lam.var, _value(t.arg, env)))
+    # a lambda the machine built binds its argument over its own environment,
+    # read without the `__getattr__` detour, as `_left` reads a shape
+    lam = _value(t.fn, st.env)
+    c = lam.__dict__.get("_closure")
+    body, env = (lam.body, _EMPTY) if c is None else (c.term, c.env)
+    st.refocus(body, _bound(env, body, lam.var, _value(t.arg, st.env)))
 
 
 def _left(av):
@@ -936,12 +965,12 @@ _ONE = frozenset({1})
 
 def _new(st, t):
     root = Cell()
-    st.refocus(S.Val(S.AmparV.with_shape(_ONE, Shape(root, {1: root}, 0), S.DestV(1))), _EMPTY)
+    st.refocus(S.Val(S.AmparV.lazy(Shape(root, {1: root}, 0), holes=_ONE, right=S.DestV(1))), _EMPTY)
 
 
 def _unroll(st, t):
     # `fix x. body` goes on as body with x bound to the fix node under its environment
-    fix = Closure(t, _bound(st.env, t))
+    fix = Closure(t, _bound(st.env, t), st.memo)
     st.refocus(t.body, _bound(st.env, t.body, t.var, fix))
 
 

@@ -267,25 +267,42 @@ class DestV:
     hole: int
 
 
-@dataclass(eq=True)
-class AmparV:
-    holes: frozenset  # hole names bound between left and right
-    left: "Value"  # structure under construction (may contain holes)
-    right: "Value"  # carries the matching destinations
+class _Lazy:
+    """A value node one of whose fields the machine gives on first access.
+
+    `_LAZY` is (the field, the `__dict__` key of its source).  A node made
+    by `lazy` holds the source instead of the field, and the field is
+    `source.read()`, kept once read; it is the field's classic value, so
+    equality, walks and printing see the node as an eager one.
+    """
+
+    _LAZY = ("", "")
 
     @classmethod
-    def with_shape(cls, holes: frozenset, shape, right: "Value") -> "AmparV":
-        """An ampar whose `left` is `shape.read()`, read on first access."""
+    def lazy(cls, source, **fields):
+        """A node with `fields` whose `_LAZY` field is `source.read()`, read on first access."""
         v = cls.__new__(cls)
-        v.__dict__.update(holes=holes, right=right, _shape=shape)
+        v.__dict__.update(fields)
+        v.__dict__[cls._LAZY[1]] = source
         return v
 
     def __getattr__(self, name):
         # only reached for attributes missing from __dict__
-        if name == "left" and "_shape" in self.__dict__:
-            self.left = self._shape.read()
-            return self.left
+        field, key = self._LAZY
+        d = self.__dict__
+        if name == field and key in d:
+            value = d[field] = d[key].read()
+            return value
         raise AttributeError(name)
+
+
+@dataclass(eq=True)
+class AmparV(_Lazy):
+    holes: frozenset  # hole names bound between left and right
+    left: "Value"  # structure under construction (may contain holes)
+    right: "Value"  # carries the matching destinations
+
+    _LAZY = ("left", "_shape")  # the machine's cells of the structure
 
 
 @dataclass(eq=True)
@@ -316,12 +333,14 @@ class PairV:
 
 
 @dataclass(eq=True)
-class LamV:
+class LamV(_Lazy):
     var: str
     mode: Mode
     body: "Term"
     param_ty_: Optional[Type] = _meta()
     cod_ty_: Optional[Type] = _meta()
+
+    _LAZY = ("body", "_closure")  # the machine's body term under an environment
 
 
 Value = Union[HoleV, DestV, AmparV, UnitV, InlV, InrV, ModV, PairV, LamV]

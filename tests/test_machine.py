@@ -186,7 +186,7 @@ def test_subst_unrolls_fix():
     # `fixC` builds no node: the focus is the fix's own body, with f bound to the fix
     st = M._State.load(M.Command((), fx))
     assert st.step() == "fixC"
-    assert st.focus is fx.body and st.env["f"].fix is fx
+    assert st.focus is fx.body and st.env["f"].term is fx
     _stored_caches_hold(res.command.focus)
 
 
@@ -218,6 +218,38 @@ def test_open_lambda_names_only_unbound_variables():
         M.run_term(_fun_prog(S.Seq(S.Var("z"), S.Seq(S.Var("q"), S.Var("b")))))
     assert str(info.value) == "lambda value must be closed; free: q"
     assert info.value.names == {"q"}
+
+
+def test_open_lambda_names_the_unbound_variables_of_a_fix_it_reads():
+    # the body reads f, which `fixC` binds to its fix node, in which q is free
+    fix = S.Fix("f", T, S.Seq(S.FillFun(S.Var("d"), "z", UNIT, S.Var("f")), S.Var("q")))
+    with pytest.raises(M.OpenLambda) as info:
+        M.run_term(S.UpdWith(S.NewAmpar(None), "d", fix))
+    assert str(info.value) == "lambda value must be closed; free: q"
+    assert info.value.names == {"q"}
+
+
+def _lazy_lambda():
+    """`\\z -> z ; a` as the machine builds it with a bound to destination 4, unread."""
+    lam = run_ok(S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", S.CasePair(
+        UNIT, S.Val(S.PairV(S.DestV(4), S.UnitV())), "a", "b",
+        S.Seq(S.Var("b"), S.FillFun(S.Var("d"), "z", UNIT, S.Seq(S.Var("z"), S.Var("a")))))))).value
+    assert "_closure" in lam.__dict__ and "body" not in lam.__dict__
+    return lam
+
+
+def test_walks_rebuild_a_lazy_lambda_as_its_classic_copy():
+    c = _lazy_lambda().__dict__["_closure"]
+    classic = S.LamV("z", UNIT, M.read_back(c.term, c.env))
+    shifted = M.cond_shift(_lazy_lambda(), frozenset({4}), 3)
+    assert shifted == M.cond_shift(classic, frozenset({4}), 3)
+    assert print_value(shifted) == print_value(M.cond_shift(classic, frozenset({4}), 3))
+    assert shifted.body.rest == S.Val(S.DestV(7))
+    for holes in ({4}, {5}):  # the ampar binds the lambda's destination, or another name
+        amp = lambda lam: S.AmparV(frozenset(holes), S.PairV(lam, S.HoleV(5)), S.DestV(5))
+        canon = M.canonicalize(amp(_lazy_lambda()))
+        assert canon == M.canonicalize(amp(classic))
+        assert print_value(canon) == print_value(M.canonicalize(amp(classic)))
 
 
 def test_free_vars_share_sets():

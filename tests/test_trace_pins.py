@@ -174,9 +174,9 @@ def test_pinned_traces_fire_every_rule(programs):
     assert fired == frames | contractions | {"⋉CL"}
 
 
-def test_run_reads_back_only_to_close_a_lambda(programs, monkeypatch):
-    # binding extends an environment; only `[⊸]EC` reads a term back, to close a
-    # lambda body, and `run` takes no snapshot
+def test_run_never_reads_back(programs, monkeypatch):
+    # binding extends an environment and a lambda keeps its own, so `run` reads
+    # no term back; materialising its steps does
     rules, calls = [], []
     rule_for, read_back = M._rule_for, M.read_back
 
@@ -188,9 +188,36 @@ def test_run_reads_back_only_to_close_a_lambda(programs, monkeypatch):
     monkeypatch.setattr(M, "_rule_for", spy_rule)
     monkeypatch.setattr(M, "read_back", lambda *a: calls.append(rules[-1]) or read_back(*a))
     for name in ("map8", "dlist16"):
-        assert isinstance(M.run_term(programs[name], 10**6), M.Finished)
-    assert calls and set(calls) == {"[⊸]EC"}
-    assert "⊸EC" in rules and "⊗EC" in rules and "fixC" in rules and "⋉OP" in rules
+        res = M.run_term(programs[name], 10**6)
+        assert isinstance(res, M.Finished)
+        assert calls == [], name
+        list(res.trace.steps)
+        assert calls, name
+        calls.clear()
+    assert {"⊸EC", "⊗EC", "fixC", "⋉OP", "[⊸]EC"} <= set(rules)
+
+
+def test_lazy_lambdas_are_the_classic_ones(programs, monkeypatch):
+    # a lambda built under an environment keeps its body term and that environment;
+    # it reads as the lambda whose body is read back, in runs and in replays
+    written, write = [], M.OpenCells.write
+
+    def spy(self, h, value, static):
+        if type(value) is S.LamV and "_closure" in value.__dict__:
+            assert "body" not in value.__dict__
+            written.append((value, M.hmax_value(value)))
+        return write(self, h, value, static)
+
+    monkeypatch.setattr(M.OpenCells, "write", spy)
+    for name in sorted(PINNED):
+        list(M.run_term(programs[name], 10**6).trace.steps)
+    assert len(written) > 100
+    for lam, h in written:
+        c = lam.__dict__["_closure"]
+        classic = S.LamV(lam.var, lam.mode, M.read_back(c.term, c.env), lam.param_ty_, lam.cod_ty_)
+        assert h == plain_hmax(classic, {})
+        assert lam.body == classic.body
+        assert print_value(lam) == print_value(classic)
 
 
 def test_checks_by_levels_match_whole_checks(env, programs):
