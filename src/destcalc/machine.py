@@ -17,21 +17,19 @@ deterministic.
 
 Cost model.  The running machine is an environment machine (Felleisen and
 Friedman's CEK machine): its focus is a term plus an environment that maps
-the term's free variables to closed values, or to a `Closure` for a
+the term's free variables to closed values, or to a `fix` node for a
 variable `fixC` bound, and each frame keeps the environment of the node it
 was cut from.  A field that is a variable the environment binds to a value
 counts as that value wherever a rule matches.  The binding rules (`⊸EC`,
-`⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an environment and build no
-term node; an environment holds only free variables of the node it was
-made for, so bindings do not pile up.  Nothing is read back while `run`
-runs: a lambda value `[⊸]EC` builds under a non-empty environment keeps its
-body term and that environment (a `Closure`), and `⊸EC` binds its argument
-over them.  Reading back (`read_back`) rebuilds the nodes on the paths to
-the variables it puts in and stores on each its free variables and largest
-hole name; only snapshots and the first access to such a lambda's `body`
-do it.  The largest hole name of each frame and of each lambda value is
-that of its term plus that of the bound values it mentions, found without
-reading anything back.
+`⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an environment, which holds
+only free variables of the node it was made for, and build no term node;
+`fixC` reads a `fix` that mentions a bound variable back, once each time it
+is entered.  A lambda value `[⊸]EC` builds under a non-empty environment
+keeps its body term and that environment (a `Closure`), and `⊸EC` binds
+its argument over them.  Reading back (`read_back`) rebuilds the nodes on
+the paths to the variables it puts in and stores each one's largest hole
+name.  The largest hole name of each frame and lambda value is its term's
+plus that of the bound values it mentions, found without reading back.
 
 The machine keeps the structure under construction of each open ampar as
 a heap of hole cells indexed by hole name, as Minamide's data structures
@@ -97,12 +95,9 @@ class Frame:
 
     def hmax(self) -> int:
         """The largest hole name of the node's other children read back under `env`."""
-        fields, env, m = self.fields, self.env, 0
+        fields, m = self.fields, 0
         for i, scope in self.kind.scoped:
-            if env:
-                h = _hmax_in(fields[i], env, (fields[scope[0]], fields[scope[-1]]) if scope else ())
-            else:
-                h = hmax_value(fields[i])
+            h = _hmax_in(fields[i], _unbound(self.env, fields, scope))
             if h > m:
                 m = h
         return m
@@ -337,8 +332,7 @@ _EMPTY = {}  # the environment of a term with no bound free variable; never writ
 
 
 class Closure:
-    """A term under an environment: what a variable `fixC` binds stands for (its
-    `fix` node), or the body of a lambda value the machine built.
+    """The body of a lambda value the machine built: a term under an environment.
 
     `memo` is that of the state that made it (`read_back`).
     """
@@ -352,23 +346,18 @@ class Closure:
         """The classic term: `term` read back under `env`."""
         return read_back(self.term, self.env, self.memo)
 
-    def hmax(self) -> int:
-        return _hmax_in(self.term, self.env)
 
-
-def _hmax_in(t, env, bound=()) -> int:
-    """The largest hole name of t read back under env but for the names `bound`,
-    without reading it back: t's own and that of each bound value t mentions."""
+def _hmax_in(t, env) -> int:
+    """The largest hole name of t read back under env, without reading it back:
+    t's own and that of each bound value or `fix` node t mentions."""
     h = hmax_value(t)
     if env:
-        fv = free_vars_cached(t)
-        if not fv.isdisjoint(env):
-            for y in fv:
-                v = env.get(y)
-                if v is not None and y not in bound:
-                    hv = v.hmax() if type(v) is Closure else hmax_value(v)
-                    if hv > h:
-                        h = hv
+        for y in free_vars_cached(t):
+            v = env.get(y)
+            if v is not None:
+                hv = hmax_value(v)
+                if hv > h:
+                    h = hv
     return h
 
 
@@ -379,8 +368,8 @@ def _free_under(t, env) -> set:
         v = env.get(y)
         if v is None:
             free.add(y)
-        elif type(v) is Closure:
-            free |= _free_under(v.term, v.env)
+        elif type(v) is S.Fix:
+            free |= free_vars_cached(v)
     return free
 
 
@@ -399,7 +388,7 @@ def _value(x, env):
         return x.value
     if type(x) is S.Var:
         v = env.get(x.name)
-        if type(v) is not Closure:
+        if type(v) is not S.Fix:
             return v
     return None
 
@@ -423,27 +412,24 @@ def _bound(env, body, x: str = None, v=None, y: str = None, w=None) -> dict:
 
 def read_back(t, env: dict, memo: dict = None):
     """The classic term t under env stands for: each free variable env binds put
-    in, a value as `Val(v)` and a `Closure` as its `fix` node read back.
+    in, a value as `Val(v)` and a `fix` node as itself.
 
     Only the nodes on the paths to those variables are rebuilt, each from
-    its fields in order with its elaboration stamps, and each gets its free
-    variables and its largest hole name stored, so no later walk visits it.
-    `memo`, keyed on the identities of a node and of the values its free
-    variables are bound to, lets the commands of one trace share what they
-    read back.
+    its fields in order with its elaboration stamps, and each gets its
+    largest hole name stored, so no later walk visits it.  `memo`, keyed on
+    the identities of a node and of the values its free variables are bound
+    to, lets the commands of one trace share what they read back.
     """
     if not env or free_vars_cached(t).isdisjoint(env):
         return t
-    return _back(t, env, memo, Closure in map(type, env.values()))
+    return _back(t, env, memo)
 
 
-def _back(t, env, memo, fixes):
-    """`read_back` of a node that mentions env; `fixes`: env binds a `Closure`."""
+def _back(t, env, memo):
+    """`read_back` of a node that mentions env."""
     fv = t.__dict__["_fv"]  # stored by `read_back` or by the loop over the node above
     if memo is not None:  # keyed on t and the values it reads, whatever else env binds
         vals = tuple(map(env.get, fv))
-        if fixes:  # closures of equal fix nodes are one value
-            vals = tuple([v.read() if type(v) is Closure else v for v in vals])
         key = (id(t), *map(id, vals))
         hit = memo.get(key)
         if hit is not None:
@@ -451,41 +437,31 @@ def _back(t, env, memo, fixes):
     cls = type(t)
     if cls is S.Var:
         v = env[t.name]
-        if type(v) is Closure:
-            return v.read()
-        node = S.Val(v, t.pos)
-        d = node.__dict__
-        d["_fv"], d["_hmax"] = _NO_VARS, hmax_value(v)
-        if memo is not None:
-            memo[key] = (t, vals, node)
-        return node
-    get, kids = S.layout(cls)
-    args = list(get(t))
-    h = 0  # a term node's largest hole name is its children's
-    for i, scope in kids:
-        kid = args[i]
-        d = kid.__dict__
-        kid_fv = d.get("_fv")
-        if kid_fv is None:
-            kid_fv = free_vars_cached(kid)
-        if not kid_fv.isdisjoint(env):
-            inner = _unbound(env, args, scope) if scope else env
-            if inner is env or not kid_fv.isdisjoint(inner):
-                kid = args[i] = _back(kid, inner, memo, fixes)
-                d = kid.__dict__
-        kh = d.get("_hmax")
-        if kh is None:
-            kh = hmax_value(kid)
-        if kh > h:
-            h = kh
-    node = cls(*args)
-    out = fv.difference(env)
-    if fixes:  # a fix node read back may keep a variable nothing binds
-        for v in map(env.get, fv):
-            if type(v) is Closure:
-                out = out.union(free_vars_cached(v.read()))
-    d = node.__dict__
-    d["_fv"], d["_hmax"] = out or _NO_VARS, h
+        if type(v) is S.Fix:
+            return v
+        node, h = S.Val(v, t.pos), hmax_value(v)
+    else:
+        get, kids = S.layout(cls)
+        args = list(get(t))
+        h = 0  # a term node's largest hole name is its children's
+        for i, scope in kids:
+            kid = args[i]
+            d = kid.__dict__
+            kid_fv = d.get("_fv")
+            if kid_fv is None:
+                kid_fv = free_vars_cached(kid)
+            if not kid_fv.isdisjoint(env):
+                inner = _unbound(env, args, scope) if scope else env
+                if inner is env or not kid_fv.isdisjoint(inner):
+                    kid = args[i] = _back(kid, inner, memo)
+                    d = kid.__dict__
+            kh = d.get("_hmax")
+            if kh is None:
+                kh = hmax_value(kid)
+            if kh > h:
+                h = kh
+        node = cls(*args)
+    node.__dict__["_hmax"] = h
     if memo is not None:
         memo[key] = (t, vals, node)
     return node
@@ -693,12 +669,8 @@ class _State:
             if isinstance(e, OpenAmpar):
                 st.push_open(OpenCells(*_cells_of(e.left, e.holes), snap=e), cmd.focus, _EMPTY)
             else:
-                st.push(e, cmd.focus, _EMPTY)
+                st.ctx.append(e)
         return st
-
-    def push(self, frame: Frame, focus, env):
-        self.ctx.append(frame)
-        self.focus, self.env = focus, env
 
     def push_open(self, o: OpenCells, focus, env):
         self.open_at.append(len(self.ctx))
@@ -717,8 +689,8 @@ class _State:
         """Focus on a term under env; a bound variable focuses on what it stands for."""
         if type(focus) is S.Var:
             v = env.get(focus.name)
-            if type(v) is Closure:
-                focus, env = v.term, v.env
+            if type(v) is S.Fix:
+                focus, env = v, _EMPTY
             elif v is not None:
                 focus = S.Val(v, focus.pos) if self.memo is None else read_back(focus, env, self.memo)
                 env = _EMPTY
@@ -869,14 +841,10 @@ def _frame_kind(cls, field, focus, unfocus, fmt):
     slot = names.index(field)
 
     def push(st, t):
-        fields, env = list(get(t)), st.env
+        fields = list(get(t))
         focus, fields[slot] = fields[slot], None
-        frame = Frame(cls, tuple(fields), slot, env)
-        if type(focus) is S.Var:  # not bound to a value, or the rule would not fire
-            c = env.get(focus.name)
-            if c is not None:
-                focus, env = c.term, c.env
-        st.push(frame, focus, env)
+        st.ctx.append(Frame(cls, tuple(fields), slot, st.env))
+        st.refocus(focus, st.env)  # a variable bound to a value would not be focused on
 
     scoped = tuple((i, scope) for i, scope in kids if i != slot)
     others = tuple(i for i, _ in scoped)
@@ -969,8 +937,9 @@ def _new(st, t):
 
 
 def _unroll(st, t):
-    # `fix x. body` goes on as body with x bound to the fix node under its environment
-    fix = Closure(t, _bound(st.env, t), st.memo)
+    # `fix x. body` goes on as body with x bound to the fix node, read back if it
+    # reads a bound variable, so an environment holds no term under another one
+    fix = t if free_vars_cached(t).isdisjoint(st.env) else read_back(t, st.env, st.memo)
     st.refocus(t.body, _bound(st.env, t.body, t.var, fix))
 
 

@@ -125,3 +125,27 @@ def test_every_definition_is_read():
     for entry, reader in ENTRY_POINTS.items():
         name = entry.split(".")[1]  # called, or wrapped by its name in a string
         assert re.search(r"\b%s\b" % name, (ROOT / reader).read_text(encoding="utf-8")), entry
+
+
+def recursion_limit_calls(source):
+    """Lines that call `setrecursionlimit`, as `sys.setrecursionlimit` or imported bare."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Attribute) and node.func.attr == "setrecursionlimit"
+             or isinstance(node.func, ast.Name) and node.func.id == "setrecursionlimit"))
+
+
+def test_recursion_limit_calls_are_found():
+    src = ("import sys\nfrom sys import setrecursionlimit\nsys.setrecursionlimit(10**5)\n"
+           "setrecursionlimit(99)\nsys.getrecursionlimit()\n")
+    assert recursion_limit_calls(src) == [3, 4]
+
+
+def test_nothing_raises_the_recursion_limit():
+    # deep inputs must run at the default limit, in the package and in its tests
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) >= 20
+    calls = {str(p.relative_to(ROOT)): recursion_limit_calls(p.read_text(encoding="utf-8"))
+             for p in files}
+    assert {p: lines for p, lines in calls.items() if lines} == {}

@@ -123,8 +123,8 @@ def test_subst_var_two_bindings_in_one_pass(src):
     nodes = []
     S.walk(out, lambda node, _: nodes.append(node) or S.DESCEND)
     for node in nodes:
-        if "_fv" in node.__dict__ and "_hmax" in node.__dict__:  # built by the read-back
-            _stored_caches_hold(node)
+        if isinstance(node, S._TERM_TYPES):  # every term node, the rebuilt ones among them
+            _caches_hold(node)
     # `⊗EC` on a pattern that names one variable twice binds the first half
     both = M.step(M.Command((), S.CasePair(UNIT, S.Val(S.PairV(a, b)), "x", "x", t)))
     assert both.command.focus == M.read_back(t, {"x": a})
@@ -134,9 +134,9 @@ X, U = S.Var("x"), S.UnitV()
 T = S.TNamed("T", ())
 
 
-def _stored_caches_hold(node):
-    assert node.__dict__["_fv"] == plain_fv(node, {})
-    assert node.__dict__["_hmax"] == plain_hmax(node, {})
+def _caches_hold(node):
+    assert M.free_vars_cached(node) == plain_fv(node, {})
+    assert M.hmax_value(node) == plain_hmax(node, {})
 
 
 @pytest.mark.parametrize("term, kept", [
@@ -168,17 +168,17 @@ def test_subst_stops_at_each_binder(term, kept):
             assert new == S.Val(S.InlV(S.DestV(7)))
     assert out.pos == (3, 4)
     assert all(getattr(out, f) is stamp for f in ("scrut_ty_", "param_ty_") if hasattr(out, f))
-    _stored_caches_hold(out)
+    _caches_hold(out)
 
 
 def test_subst_unrolls_fix():
     fx = S.Fix("f", T, S.Seq(S.Val(S.DestV(5)), S.App(S.Var("f"), S.Var("f"))))
-    unrolled = {"f": M.Closure(fx, {})}
+    unrolled = {"f": fx}
     out = M.read_back(fx.body, unrolled)
     assert out == S.Seq(S.Val(S.DestV(5)), S.App(fx, fx))
     assert out.rest.fn is fx and out.rest.arg is fx
-    _stored_caches_hold(out)
-    _stored_caches_hold(out.rest)
+    _caches_hold(out)
+    _caches_hold(out.rest)
     inner = S.Fix("f", T, S.Var("f"))  # an inner fix of the same name shadows it
     assert M.read_back(inner, unrolled) is inner
     res = M.step(M.Command((), fx))
@@ -186,8 +186,8 @@ def test_subst_unrolls_fix():
     # `fixC` builds no node: the focus is the fix's own body, with f bound to the fix
     st = M._State.load(M.Command((), fx))
     assert st.step() == "fixC"
-    assert st.focus is fx.body and st.env["f"].term is fx
-    _stored_caches_hold(res.command.focus)
+    assert st.focus is fx.body and st.env["f"] is fx
+    _caches_hold(res.command.focus)
 
 
 def _fun_prog(body):

@@ -6,6 +6,7 @@ A deliberate change to the semantics re-pins them.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -176,7 +177,8 @@ def test_pinned_traces_fire_every_rule(programs):
 
 def test_run_never_reads_back(programs, monkeypatch):
     # binding extends an environment and a lambda keeps its own, so `run` reads
-    # no term back; materialising its steps does
+    # no term back but a `fix` that reads a bound variable, once each time it is
+    # entered; materialising its steps does
     rules, calls = [], []
     rule_for, read_back = M._rule_for, M.read_back
 
@@ -186,15 +188,47 @@ def test_run_never_reads_back(programs, monkeypatch):
         return rule
 
     monkeypatch.setattr(M, "_rule_for", spy_rule)
-    monkeypatch.setattr(M, "read_back", lambda *a: calls.append(rules[-1]) or read_back(*a))
-    for name in ("map8", "dlist16"):
+    monkeypatch.setattr(M, "read_back", lambda *a: calls.append((rules[-1], a[0])) or read_back(*a))
+    for name in ("map8", "dlist16", "fix_outer"):
         res = M.run_term(programs[name], 10**6)
         assert isinstance(res, M.Finished)
-        assert calls == [], name
+        if name == "fix_outer":  # `fillAll` is applied once, and its `fix go` reads `n`
+            assert [(rule, type(t), t.var, M.free_vars_cached(t)) for rule, t in calls] == [
+                ("fixC", S.Fix, "go", {"n"})]
+        else:
+            assert calls == [], name
+        calls.clear()
         list(res.trace.steps)
         assert calls, name
         calls.clear()
     assert {"⊸EC", "⊗EC", "fixC", "⋉OP", "[⊸]EC"} <= set(rules)
+
+
+def test_environments_bind_only_values_and_fix_nodes(programs, monkeypatch):
+    # `fixC` binds its variable to its fix node, so no environment binds a
+    # `Closure`, in a run or in a replay: only `[⊸]EC` builds one, a lambda's body
+    bound, closure = M._bound, M.Closure
+    fixes, makers = [], set()
+
+    def spy_bound(*a):
+        env = bound(*a)
+        for v in env.values():
+            assert type(v) is S.Fix or isinstance(v, S._VALUE_TYPES), v
+            if type(v) is S.Fix:
+                fixes.append(v)
+        return env
+
+    def spy_closure(*a):
+        makers.add(sys._getframe(1).f_code.co_name)
+        return closure(*a)
+
+    monkeypatch.setattr(M, "_bound", spy_bound)
+    monkeypatch.setattr(M, "Closure", spy_closure)
+    for name in sorted(PINNED):
+        res = M.run_term(programs[name], 10**6)
+        assert isinstance(res, M.Finished)
+        list(res.trace.steps)
+    assert fixes and makers == {"_fill_fun"}
 
 
 def test_lazy_lambdas_are_the_classic_ones(programs, monkeypatch):
@@ -268,8 +302,8 @@ def test_applicable_rules_follow_the_run(programs, name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_stored_caches_match_a_recomputation(programs, name):
-    # substitution and the hole walks read the stored `_fv` and `_hmax`: a wrong
-    # one would make them unsound
+    # read-back, the environments and the hole walks read the `_fv` and `_hmax`
+    # kept on nodes: a wrong one would make them unsound
     origin, steps = _commands(programs[name])
     seen, fv_memo, hmax_memo, checked = set(), {}, {}, 0
     for cmd in [origin] + [cmd for _, cmd in steps]:
