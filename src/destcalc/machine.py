@@ -15,21 +15,30 @@ value focus finds its rule by the top frame.  Fresh hole names come from
 max-based formulas over the names in the context, so runs are fully
 deterministic.
 
-Cost model.  The running machine is an environment machine (Felleisen and
-Friedman's CEK machine): its focus is a term plus an environment that maps
-the term's free variables to closed values, or to a `fix` node for a
-variable `fixC` bound, and each frame keeps the environment of the node it
-was cut from.  A field that is a variable the environment binds to a value
-counts as that value wherever a rule matches.  The binding rules (`⊸EC`,
-`⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an environment, which holds
-only free variables of the node it was made for, and build no term node;
-`fixC` reads a `fix` that mentions a bound variable back, once each time it
-is entered.  A lambda value `[⊸]EC` builds under a non-empty environment
-keeps its body term and that environment (a `Closure`), and `⊸EC` binds
-its argument over them.  Reading back (`read_back`) rebuilds the nodes on
-the paths to the variables it puts in and stores each one's largest hole
-name.  The largest hole name of each frame and lambda value is its term's
-plus that of the bound values it mentions, found without reading back.
+Cost model.  A step costs one dispatch plus its rule.  One loop
+(`_State.run`) steps `run`, `Replay` and `step`; each step reads the focus
+and the top component once, and a value focus takes its frame's unfocusing
+rule, or `⋉CL`, while a term focus makes one matcher call, which reads each
+field's value in place.  The running machine is an environment machine
+(Felleisen and Friedman's CEK machine): its focus is a term plus an
+environment that maps the term's free variables to closed values, or to a
+`fix` node for a variable `fixC` bound, and each frame keeps the
+environment of the node it was cut from.  A field that is a variable the
+environment binds to a value counts as that value wherever a rule matches.
+The binding rules (`⊸EC`, `⊗EC`, `⊕EC₁/₂`, `!EC`, `⋉OP`, `fixC`) extend an
+environment, which holds only free variables of the node it was made for,
+and build no term node; `fixC` reads a `fix` that mentions a bound
+variable back, once each time it is entered.  A lambda value `[⊸]EC`
+builds under a non-empty environment keeps its body term and that
+environment (a `Closure`), and `⊸EC` binds its argument over them.
+Reading back (`read_back`) rebuilds the nodes on the paths to the
+variables it puts in and stores each one's largest hole name.  The
+largest hole name of each frame and lambda value is its term's plus that
+of the bound values it mentions, found without reading back.
+Each node is cut into its frames once per slot (`Cut`, kept on the node):
+every frame cut there shares its fields, and the largest hole name of the
+other children and the variables they read, filled when a fresh name first
+needs them, leave a frame only its environment's values to look at.
 
 The machine keeps the structure under construction of each open ampar as
 a heap of hole cells indexed by hole name, as Minamide's data structures
@@ -70,37 +79,80 @@ from . import syntax as S
 # Frames: the components of an evaluation context
 
 
+class Cut:
+    """A term node cut at one slot: its entry `kind` of the frame table and its
+    `fields` in `syntax.layout` order, with None at the slot.  The first push of
+    a node at a slot keeps its cut on the node, and every frame cut there
+    shares it.
+
+    `hmax`, the largest hole name of the node's other children, and `reads`,
+    the variables they read that the node does not bind over them, are what
+    fresh names read (`Frame.hmax`); they stay None until that first reads them.
+    """
+
+    __slots__ = ("kind", "fields", "hmax", "reads")
+
+    def __init__(self, kind, fields: tuple):
+        self.kind, self.fields, self.hmax, self.reads = kind, fields, None, None
+
+    def fill(self) -> int:
+        """Fill `hmax` and `reads` from the other children and return `hmax`."""
+        fields, h, reads = self.fields, 0, _NO_VARS
+        for i, scope in self.kind.scoped:
+            kid = fields[i]
+            kh = hmax_value(kid)
+            if kh > h:
+                h = kh
+            fv = free_vars_cached(kid)
+            if scope and fv:
+                fv = fv.difference([fields[j] for j in scope])
+            if fv and not fv <= reads:
+                reads = reads | fv if reads else fv
+        self.hmax, self.reads = h, reads
+        return h
+
+
 class Frame:
     """A term node with one empty slot: one component of an evaluation context.
 
     `fields` are the node's constructor fields in `syntax.layout` order,
     stamps included, with None at index `slot`, the field the focus came
-    from, so a frame keeps nothing of its focus alive.  `kind` is its entry
-    of the frame table, which holds its rules.  `env` binds the free
+    from, so a frame keeps nothing of its focus alive; they are its `cut`'s,
+    shared by every frame cut from the node at that slot.  `kind` is its
+    entry of the frame table, which holds its rules.  `env` binds the free
     variables of the node the frame was cut from (empty in a classic frame).
     A frame is made once, by the focusing rule that pushes it, and shared by
     every later command.
     """
 
-    __slots__ = ("cls", "fields", "slot", "kind", "env", "_back")
+    __slots__ = ("cls", "fields", "slot", "kind", "env", "cut", "_back")
 
-    def __init__(self, cls, fields: tuple, slot: int, env: dict = None):
-        self.cls, self.fields, self.slot = cls, fields, slot
-        self.kind = FRAMES[cls, slot]
-        self.env, self._back = env or _EMPTY, None
+    def __init__(self, cls, fields: tuple, slot: int, env: dict = None, cut: Cut = None):
+        if cut is None:
+            cut = Cut(FRAMES[cls, slot], fields)
+        self.cls, self.fields, self.slot, self.kind = cls, fields, slot, cut.kind
+        self.env, self.cut, self._back = env or _EMPTY, cut, None
 
     def kids(self) -> list:
         """The node's term children other than the slot."""
         return [self.fields[i] for i in self.kind.others]
 
     def hmax(self) -> int:
-        """The largest hole name of the node's other children read back under `env`."""
-        fields, m = self.fields, 0
-        for i, scope in self.kind.scoped:
-            h = _hmax_in(fields[i], _unbound(self.env, fields, scope))
-            if h > m:
-                m = h
-        return m
+        """The largest hole name of the node's other children read back under `env`:
+        theirs and that of the values `env` binds to the variables they read."""
+        cut = self.cut
+        h = cut.hmax
+        if h is None:
+            h = cut.fill()
+        env = self.env
+        if env:
+            for y in cut.reads:
+                v = env.get(y)
+                if v is not None:
+                    hv = hmax_value(v)
+                    if hv > h:
+                        h = hv
+        return h
 
     def read_back(self, memo=None) -> "Frame":
         """The classic frame: other children read back under `env`, made once."""
@@ -738,19 +790,33 @@ class _State:
         ctx = tuple([e.read_back(memo) if type(e) is Frame else e.snapshot() for e in self.ctx])
         return Command(ctx, read_back(self.focus, self.env, memo))
 
-    def step(self):
-        """Apply the one applicable rule; its name, or Final/Stuck."""
-        t = self.focus
-        if not self.ctx and type(t) is S.Val:
-            return Final(t.value)
-        rule = _rule_for(self.ctx[-1] if self.ctx else None, t, self.env)
-        if rule is None:
-            from .printer import print_term
-            focus = read_back(t, self.env, self.memo)
-            return Stuck("no rule applies to focus %s" % print_term(focus, 3))
-        name, act = rule
-        act(self, t)
-        return name
+    def run(self, fuel: int, on_step):
+        """Apply the one applicable rule up to `fuel` times, calling on_step(rule name)
+        after each: Final or Stuck when the machine stops, None when the fuel runs out.
+
+        A step reads the focus and the top component once: a value focus
+        takes its frame's unfocusing rule or `⋉CL`, a term focus the rule its
+        class's matcher gives.  `run`, `Replay` and `step` all step here.
+        """
+        ctx, matchers, Val = self.ctx, _MATCH, S.Val
+        for _ in range(fuel):
+            t = self.focus
+            if type(t) is Val:
+                if not ctx:
+                    return Final(t.value)
+                top = ctx[-1]
+                name, act = top.kind.unfocus if type(top) is Frame else _CLOSE
+            else:
+                match = matchers.get(type(t))
+                rule = None if match is None else match(t, self.env)
+                if rule is None:
+                    from .printer import print_term
+                    focus = read_back(t, self.env, self.memo)
+                    return Stuck("no rule applies to focus %s" % print_term(focus, 3))
+                name, act = rule
+            act(self, t)
+            on_step(name)
+        return None
 
 
 def _renamed(av, d: int):
@@ -780,7 +846,8 @@ def _renamed(av, d: int):
 def _rule_for(top, t, env):
     """The rule whose left-hand side matches focus t under env and component top
     (None at the root), or None.  The table gives at most one, so the
-    machine is deterministic by construction."""
+    machine is deterministic by construction.  The stepping loop
+    (`_State.run`) makes the same choice inline."""
     if type(t) is S.Val:
         if type(top) is Frame:
             return top.kind.unfocus
@@ -839,16 +906,35 @@ _FRAME_TABLE = {
 def _frame_kind(cls, field, focus, unfocus, fmt):
     names, (get, kids) = S.field_order(cls), S.layout(cls)
     slot = names.index(field)
+    key, focused = "_cut%d" % slot, operator.attrgetter(field)
+    # the checker stamps nodes in place, so a cut whose stamps are not the node's is made again
+    stamps = tuple((i, n) for i, n in enumerate(names) if n.endswith("_"))
 
     def push(st, t):
-        fields = list(get(t))
-        focus, fields[slot] = fields[slot], None
-        st.ctx.append(Frame(cls, tuple(fields), slot, st.env))
-        st.refocus(focus, st.env)  # a variable bound to a value would not be focused on
+        d = t.__dict__
+        cut = d.get(key)
+        if cut is None or stamps and _restamped(cut.fields, d, stamps):
+            fields = list(get(t))
+            fields[slot] = None
+            cut = d[key] = Cut(FRAMES[cls, slot], tuple(fields))
+        st.ctx.append(Frame(cls, cut.fields, slot, st.env, cut))
+        x = focused(t)
+        if type(x) is S.Var:  # free or bound to a `fix` node: a value is not focused on
+            st.refocus(x, st.env)
+        else:
+            st.focus = x
 
     scoped = tuple((i, scope) for i, scope in kids if i != slot)
     others = tuple(i for i, _ in scoped)
     return (cls, slot), FrameKind((focus, push), (unfocus, _unfocus), fmt, names, others, scoped)
+
+
+def _restamped(fields, d, stamps) -> bool:
+    """Whether a node (its `__dict__` d) holds other stamps than the cut `fields`."""
+    for i, n in stamps:
+        if fields[i] is not d[n]:
+            return True
+    return False
 
 
 # (node class, slot index) -> FrameKind
@@ -1001,7 +1087,8 @@ def _matcher(cls, name, guard, act):
     """The rule for a focus of class cls: the focusing rule of the first field the
     frame table lists for cls that holds no value, else the contraction the
     guard gives for the values, or None.  Specialised by the number of such
-    fields, so a step builds no list of values."""
+    fields, and each field's value read in place, as `_value` reads it, so a
+    step builds no list of values and makes no call but the guard."""
     rules = (None, *((n, act) for n in name.split()))
     fields = [(operator.attrgetter(kind.names[slot]), kind.focus)
               for (c, slot), kind in FRAMES.items() if c is cls]
@@ -1011,18 +1098,38 @@ def _matcher(cls, name, guard, act):
         (get, focus), = fields
 
         def match(t, env):
-            v = _value(get(t), env)
-            return focus if v is None else rules[guard(t, v)]
+            x = get(t)
+            if type(x) is S.Val:
+                return rules[guard(t, x.value)]
+            if type(x) is S.Var:
+                v = env.get(x.name)
+                if v is not None and type(v) is not S.Fix:
+                    return rules[guard(t, v)]
+            return focus
 
         return match
     (get1, focus1), (get2, focus2) = fields
 
     def match2(t, env):
-        a = _value(get1(t), env)
-        if a is None:
+        x = get1(t)
+        if type(x) is S.Val:
+            a = x.value
+        elif type(x) is S.Var:
+            a = env.get(x.name)
+            if a is None or type(a) is S.Fix:
+                return focus1
+        else:
             return focus1
-        b = _value(get2(t), env)
-        return focus2 if b is None else rules[guard(t, a, b)]
+        x = get2(t)
+        if type(x) is S.Val:
+            b = x.value
+        elif type(x) is S.Var:
+            b = env.get(x.name)
+            if b is None or type(b) is S.Fix:
+                return focus2
+        else:
+            return focus2
+        return rules[guard(t, a, b)]
 
     return match2
 
@@ -1041,16 +1148,16 @@ def applicable_rules(cmd: Command) -> List[str]:
 
 
 def step(cmd: Command):
-    st = _State.load(cmd, {})
-    res = st.step()
-    return Stepped(res, st.snapshot()) if isinstance(res, str) else res
+    st, rules = _State.load(cmd, {}), []
+    res = st.run(1, rules.append)
+    return Stepped(rules[0], st.snapshot()) if res is None else res
 
 
 class Replay(Sequence):
     """The steps of a run as (rule, Command) pairs.
 
     Its length is the run's step count.  The commands are built on first
-    read, by stepping again from the origin with the same code, and kept.
+    read, by stepping again from the origin with the same loop, and kept.
     """
 
     def __init__(self, origin: Command, rules: List[str]):
@@ -1067,12 +1174,15 @@ class Replay(Sequence):
 
     def _materialized(self) -> List[Tuple[str, Command]]:
         if self._steps is None:
-            st = _State.load(self.origin, {})
-            steps = []
-            for rule in self.rules:
-                if st.step() != rule:
+            st, rules, steps = _State.load(self.origin, {}), self.rules, []
+
+            def on_step(rule):
+                if rule != rules[len(steps)]:
                     raise MachineError("replay diverged from the run at step %d" % (len(steps) + 1))
                 steps.append((rule, st.snapshot()))
+
+            if st.run(len(rules), on_step) is not None:  # it stopped before the run did
+                raise MachineError("replay diverged from the run at step %d" % (len(steps) + 1))
             self._steps = steps
         return self._steps
 
@@ -1107,15 +1217,12 @@ def run(cmd: Command, fuel: int = 10**6):
     st = _State.load(cmd)
     rules: List[str] = []
     trace = Trace(cmd, Replay(cmd, rules))
-    for _ in range(fuel):
-        res = st.step()
-        if type(res) is str:
-            rules.append(res)
-        elif isinstance(res, Final):
-            return Finished(res.value, trace)
-        else:
-            return StuckAt(st.snapshot(), res.reason, trace)
-    return OutOfFuel(trace)
+    res = st.run(fuel, rules.append)
+    if res is None:
+        return OutOfFuel(trace)
+    if type(res) is Final:
+        return Finished(res.value, trace)
+    return StuckAt(st.snapshot(), res.reason, trace)
 
 
 def run_term(t, fuel: int = 10**6):

@@ -1,3 +1,4 @@
+import signal
 from typing import List
 
 import pytest
@@ -11,6 +12,27 @@ from destcalc.parser import _SYMBOLS, ParseError, Token, parse, parse_type
 from destcalc.prelude import load_prelude
 from destcalc import typecheck as T
 from destcalc.typecheck import Checker, TypeEnv
+
+
+# Each test, its fixtures' set-up included, fails past this many seconds, so a
+# machine that loops fails one named test instead of hanging the suite.  The
+# slowest test takes about 25-30 s.
+TIME_LIMIT_S = 150
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the test ran past its limit of %d s" % TIME_LIMIT_S)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")
@@ -92,12 +114,13 @@ def plain_fv(t, memo):
         for f in S.field_order(type(t)):
             v = getattr(t, f)
             if isinstance(v, S._TERM_TYPES):
-                out |= plain_fv(v, memo) - _bound_over(t, f)
+                out |= plain_fv(v, memo) - bound_over(t, f)
     memo[id(t)] = (t, frozenset(out))
     return memo[id(t)][1]
 
 
-def _bound_over(t, f):
+def bound_over(t, f):
+    """The variables node t binds over its field f, read without the binder table."""
     if isinstance(t, S.CaseSum):
         return {"left_body": {t.left_var}, "right_body": {t.right_var}}.get(f, set())
     if isinstance(t, S.CasePair):

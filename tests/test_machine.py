@@ -184,8 +184,8 @@ def test_subst_unrolls_fix():
     res = M.step(M.Command((), fx))
     assert res.rule == "fixC" and res.command.focus == out
     # `fixC` builds no node: the focus is the fix's own body, with f bound to the fix
-    st = M._State.load(M.Command((), fx))
-    assert st.step() == "fixC"
+    st, rules = M._State.load(M.Command((), fx)), []
+    assert st.run(1, rules.append) is None and rules == ["fixC"]
     assert st.focus is fx.body and st.env["f"] is fx
     _caches_hold(res.command.focus)
 

@@ -19,7 +19,8 @@ from destcalc.prelude import _read, load_source
 from destcalc.printer import print_value
 from destcalc.typecheck import Checker
 
-from conftest import app_chain, dlist_prog, plain_fv, plain_hmax, suite_programs, whole_check
+from conftest import (app_chain, bound_over, dlist_prog, plain_fv, plain_hmax, suite_programs,
+                      whole_check)
 
 PINNED = {
     "golden": "f63d555da4413942889322de959244c9ee5a0605760dc0984878a22d47de8e26",
@@ -180,14 +181,18 @@ def test_run_never_reads_back(programs, monkeypatch):
     # no term back but a `fix` that reads a bound variable, once each time it is
     # entered; materialising its steps does
     rules, calls = [], []
-    rule_for, read_back = M._rule_for, M.read_back
+    read_back = M.read_back
 
-    def spy_rule(top, t, env):
-        rule = rule_for(top, t, env)
-        rules.append(rule and rule[0])
-        return rule
+    def spy(match):  # the stepping loop asks the matcher table for a term focus's rule
+        def spy_match(t, env):
+            rule = match(t, env)
+            rules.append(rule and rule[0])
+            return rule
 
-    monkeypatch.setattr(M, "_rule_for", spy_rule)
+        return spy_match
+
+    for cls, match in list(M._MATCH.items()):
+        monkeypatch.setitem(M._MATCH, cls, spy(match))
     monkeypatch.setattr(M, "read_back", lambda *a: calls.append((rules[-1], a[0])) or read_back(*a))
     for name in ("map8", "dlist16", "fix_outer"):
         res = M.run_term(programs[name], 10**6)
@@ -302,10 +307,10 @@ def test_applicable_rules_follow_the_run(programs, name):
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_stored_caches_match_a_recomputation(programs, name):
-    # read-back, the environments and the hole walks read the `_fv` and `_hmax`
-    # kept on nodes: a wrong one would make them unsound
+    # read-back, the environments, the hole walks and fresh names read the `_fv`,
+    # `_hmax` and frame cuts kept on nodes: a wrong one would make them unsound
     origin, steps = _commands(programs[name])
-    seen, fv_memo, hmax_memo, checked = set(), {}, {}, 0
+    seen, fv_memo, hmax_memo, checked, cuts = set(), {}, {}, 0, 0
     for cmd in [origin] + [cmd for _, cmd in steps]:
         todo = [cmd.focus] + [x for e in cmd.ctx
                               for x in (e.fields if isinstance(e, M.Frame) else (e.left,))]
@@ -314,7 +319,8 @@ def test_stored_caches_match_a_recomputation(programs, name):
             if id(x) in seen or not isinstance(x, S._TERM_TYPES + S._VALUE_TYPES):
                 continue
             seen.add(id(x))
-            todo.extend(getattr(x, f) for f in S.field_order(type(x)))
+            names = S.field_order(type(x))
+            todo.extend(getattr(x, f) for f in names)
             d = x.__dict__
             if "_fv" in d:
                 assert d["_fv"] == plain_fv(x, fv_memo), (name, x)
@@ -322,7 +328,42 @@ def test_stored_caches_match_a_recomputation(programs, name):
             if "_hmax" in d:
                 assert d["_hmax"] == plain_hmax(x, hmax_memo), (name, x)
                 checked += 1
-    assert checked
+            for slot in range(len(names)):
+                cut = d.get("_cut%d" % slot)
+                if cut is None:
+                    continue
+                fields = [getattr(x, f) for f in names]
+                fields[slot] = None
+                assert cut.fields == tuple(fields), (name, x, slot)
+                if cut.hmax is not None:  # filled by a fresh name read
+                    others = M.FRAMES[type(x), slot].others
+                    assert cut.hmax == max(
+                        (plain_hmax(fields[i], hmax_memo) for i in others), default=0)
+                    assert cut.reads == set().union(
+                        *(plain_fv(fields[i], fv_memo) - bound_over(x, names[i]) for i in others))
+                    cuts += 1
+    assert checked and cuts
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_fresh_names_read_the_largest_name_of_the_context(programs, name):
+    # the maximum every minted name is counted from, kept per frame, frame cut and
+    # open structure, against the snapshot's context recomputed without a cache
+    st, memo, steps = M._State.load(M.Command((), programs[name]), {}), {}, []
+
+    def on_step(rule):
+        want = 0
+        for e in st.snapshot().ctx:
+            if isinstance(e, M.Frame):
+                parts = [e.fields[i] for i in e.kind.others]
+            else:  # an open ampar: its structure and its holes
+                parts = [e.left, *map(S.HoleV, e.holes)]
+            want = max([want] + [plain_hmax(x, memo) for x in parts])
+        assert st.ctx_max() == want, (name, len(steps), rule)
+        steps.append(rule)
+
+    assert isinstance(st.run(10**6, on_step), M.Final)
+    assert steps == M.run_term(programs[name], 10**6).trace.steps.rules
 
 
 def _round_trip(rule, cmd, nxt, reached):
