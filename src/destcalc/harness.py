@@ -12,15 +12,15 @@ value encoders and decoders, the native breadth-first relabeling that
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
+from .records import field, record
 from . import machine as M
 from . import syntax as S
 from .typecheck import Checker, TypeCheckError
 
 
-@dataclass
+@record
 class Verdict:
     ok: bool
     failures: List[Tuple[int, str]] = field(default_factory=list)

@@ -68,10 +68,10 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import List, NamedTuple, Tuple
 
 from .modes import ONE_INF
+from .records import record
 from . import syntax as S
 
 
@@ -184,30 +184,30 @@ def plug(frame: Frame, t):
     return frame.cls(*fields)
 
 
-@dataclass(eq=True)
+@record
 class OpenAmpar:
     holes: frozenset
     left: object  # the structure under construction (a Value with holes)
 
 
-@dataclass(eq=True)
+@record
 class Command:
     ctx: Tuple[object, ...]  # Frames and OpenAmpars, outermost first
     focus: object
 
 
-@dataclass
+@record
 class Stepped:
     rule: str
     command: Command
 
 
-@dataclass
+@record
 class Final:
     value: object
 
 
-@dataclass
+@record
 class Stuck:
     reason: str
 
@@ -1187,24 +1187,24 @@ class Replay(Sequence):
         return self._steps
 
 
-@dataclass
+@record
 class Trace:
     origin: Command
     steps: Sequence  # of (rule, Command); a Replay when `run` made it
 
 
-@dataclass
+@record
 class Finished:
     value: object
     trace: Trace
 
 
-@dataclass
+@record
 class OutOfFuel:
     trace: Trace
 
 
-@dataclass
+@record
 class StuckAt:
     command: Command
     reason: str

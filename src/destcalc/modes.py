@@ -11,8 +11,9 @@ contexts: it works on the sets of modes each name can achieve
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Union
+
+from .records import record
 
 ONE = "1"
 MANY = "w"
@@ -23,7 +24,7 @@ Age = Union[int, float]  # a natural exponent, or INF
 Name = Union[str, int]  # str: variable name, int: hole name
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Mode:
     mult: str  # ONE | MANY
     age: Age
@@ -154,13 +155,13 @@ def discardable(m: Mode) -> bool:
 # Bindings and typing contexts.  Types are opaque payloads here.
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class VarB:
     mode: Mode
     ty: Any
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DestB:
     """->h :_mode |_hole_mode ty|  (a destination binding)."""
 
@@ -169,7 +170,7 @@ class DestB:
     hole_mode: Mode
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class HoleB:
     """[]h :_hole_mode ty  (a hole binding, value contexts only)."""
 

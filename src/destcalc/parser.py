@@ -10,10 +10,10 @@ desugarer).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .modes import INF, Mode, UNIT
+from .records import field, record
 from . import syntax as S
 
 
@@ -24,7 +24,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-@dataclass
+@record
 class Token:
     kind: str  # 'ident' | 'num' | 'sym' | 'eof'
     text: str
@@ -73,7 +73,7 @@ def tokenize(src: str) -> List[Token]:
     return toks
 
 
-@dataclass
+@record
 class TypeDef:
     name: str
     params: Tuple[str, ...]
@@ -81,7 +81,7 @@ class TypeDef:
     pos: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@record
 class TermDef:
     name: str
     ann: object
@@ -89,7 +89,7 @@ class TermDef:
     pos: Tuple[int, int] = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@record
 class Program:
     type_defs: Dict[str, TypeDef] = field(default_factory=dict)
     term_defs: List[TermDef] = field(default_factory=list)

@@ -19,16 +19,16 @@ counterexamples (`scope_escape2.ld`, `scope_escape3.ld`) are rejected with
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass, field
+import os
 from typing import Dict, List, Optional
 
+from .records import field, record
 from . import syntax as S
 from .parser import Program, TermDef, parse
 from .typecheck import Checker, TypeCheckError, TypeEnv
 
 
-@dataclass
+@record
 class LoadedDef:
     name: str
     ann: object
@@ -39,7 +39,7 @@ class LoadedDef:
     tyenv: Optional[TypeEnv] = None  # the type environment of the program that loaded it
 
 
-@dataclass
+@record
 class ProgramEnv:
     tyenv: TypeEnv
     defs: Dict[str, LoadedDef] = field(default_factory=dict)
@@ -150,12 +150,17 @@ POST_FILES = [
     "sharing.ld",
 ]
 
+_PRELUDE_DIR = os.path.join(os.path.dirname(__file__), "prelude")
+
+
 def _read(name: str) -> str:
-    return importlib.resources.files(__package__).joinpath("prelude", name).read_text()
+    with open(os.path.join(_PRELUDE_DIR, name), encoding="utf-8") as f:
+        return f.read()
 
 
 def prelude_path(name: str) -> str:
-    return str(importlib.resources.files(__package__).joinpath("prelude", name))
+    """The path of the prelude file `name`, relative to the prelude directory ("" for itself)."""
+    return os.path.join(_PRELUDE_DIR, name) if name else _PRELUDE_DIR
 
 
 def _subst_types_in_term(t, tymap):

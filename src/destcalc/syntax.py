@@ -9,12 +9,11 @@ and codomain types) that later phases read; both are ignored by equality.
 
 from __future__ import annotations
 
-import dataclasses
 import operator
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from .modes import INF, Mode, UNIT, ONE_INF
+from .records import field, fields, record
 
 Pos = Optional[Tuple[int, int]]
 
@@ -23,49 +22,49 @@ Pos = Optional[Tuple[int, int]]
 # Types (immutable trees; recursion goes through named definitions)
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TUnit:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TSum:
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TProd:
     left: "Type"
     right: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TBang:
     mode: Mode
     inner: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TArrow:
     dom: "Type"
     mode: Mode
     cod: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TDest:
     mode: Mode  # mode of values the hole accepts
     inner: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TAmpar:
     left: "Type"  # the structure under construction
     right: "Type"
 
 
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class TNamed:
     name: str
     args: Tuple["Type", ...] = ()
@@ -83,27 +82,27 @@ def _meta(**kw):
     return field(default=None, compare=False, repr=False, **kw)
 
 
-@dataclass(eq=True)
+@record
 class Var:
     name: str
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class App:
     fn: "Term"
     arg: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class Seq:
     first: "Term"
     rest: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class CaseSum:
     mode: Mode
     scrut: "Term"
@@ -115,7 +114,7 @@ class CaseSum:
     scrut_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class CasePair:
     mode: Mode
     scrut: "Term"
@@ -126,7 +125,7 @@ class CasePair:
     scrut_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class CaseBang:
     mode: Mode
     scrut: "Term"
@@ -137,7 +136,7 @@ class CaseBang:
     scrut_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class UpdWith:
     scrut: "Term"
     var: str
@@ -146,27 +145,27 @@ class UpdWith:
     scrut_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class ToAmpar:
     inner: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FromAmpar:
     inner: "Term"
     pos: Pos = _meta()
     inner_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FromAmparPrime:
     inner: "Term"
     pos: Pos = _meta()
     left_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class NewAmpar:
     # full annotated ampar type `(new* : T >< Dest T)`; resolved or filled
     # in from the expected type by the checker when absent
@@ -174,38 +173,38 @@ class NewAmpar:
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillUnit:
     dest: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillInl:
     dest: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillInr:
     dest: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillPair:
     dest: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillBang:
     dest: "Term"
     mode: Mode = UNIT
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillFun:
     dest: "Term"
     var: str
@@ -216,27 +215,27 @@ class FillFun:
     cod_ty_: Optional[Type] = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillComp:
     dest: "Term"
     child: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FillLeaf:
     dest: "Term"
     arg: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class Val:
     value: "Value"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class Fix:
     var: str
     ann: Type
@@ -244,7 +243,7 @@ class Fix:
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class Annot:
     """Checker-level annotation (t : T); erased before evaluation."""
 
@@ -257,12 +256,12 @@ class Annot:
 # Runtime values
 
 
-@dataclass(eq=True)
+@record
 class HoleV:
     hole: int
 
 
-@dataclass(eq=True)
+@record
 class DestV:
     hole: int
 
@@ -296,7 +295,7 @@ class _Lazy:
         raise AttributeError(name)
 
 
-@dataclass(eq=True)
+@record
 class AmparV(_Lazy):
     holes: frozenset  # hole names bound between left and right
     left: "Value"  # structure under construction (may contain holes)
@@ -305,34 +304,34 @@ class AmparV(_Lazy):
     _LAZY = ("left", "_shape")  # the machine's cells of the structure
 
 
-@dataclass(eq=True)
+@record
 class UnitV:
     pass
 
 
-@dataclass(eq=True)
+@record
 class InlV:
     value: "Value"
 
 
-@dataclass(eq=True)
+@record
 class InrV:
     value: "Value"
 
 
-@dataclass(eq=True)
+@record
 class ModV:
     mode: Mode
     value: "Value"
 
 
-@dataclass(eq=True)
+@record
 class PairV:
     fst: "Value"
     snd: "Value"
 
 
-@dataclass(eq=True)
+@record
 class LamV(_Lazy):
     var: str
     mode: Mode
@@ -352,38 +351,38 @@ _VALUE_TYPES = (HoleV, DestV, AmparV, UnitV, InlV, InrV, ModV, PairV, LamV)
 # Surface sugar
 
 
-@dataclass(eq=True)
+@record
 class UnitS:
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class InlS:
     inner: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class InrS:
     inner: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class PairS:
     fst: "Term"
     snd: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class ModS:
     mode: Mode
     inner: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class LamS:
     var: str
     mode: Mode
@@ -391,13 +390,13 @@ class LamS:
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class FromPrimeS:
     inner: "Term"
     pos: Pos = _meta()
 
 
-@dataclass(eq=True)
+@record
 class NatLit:
     value: int
     pos: Pos = _meta()
@@ -446,7 +445,7 @@ _LAYOUTS = {}
 
 def field_order(cls) -> tuple:
     """Every constructor field name of a node class, in the order `layout` reads them."""
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return tuple(f.name for f in fields(cls))
 
 
 def layout(cls):
@@ -464,7 +463,7 @@ def layout(cls):
         scopes = BINDERS.get(cls, {})
         kids = tuple(
             (i, tuple(names.index(b) for b in scopes.get(f.name, ())))
-            for i, f in enumerate(dataclasses.fields(cls))
+            for i, f in enumerate(fields(cls))
             if "Term" in f.type
         )
         if len(names) > 1:

@@ -31,7 +31,6 @@ component is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .modes import (
@@ -39,6 +38,7 @@ from .modes import (
     VarB, DestB, HoleB, Binding, TypingContext,
     mode_times, ms_close, ms_image, ms_preimage, ms_sum, discardable,
 )
+from .records import record
 from . import machine as M
 from . import syntax as S
 from .parser import TypeDef
@@ -60,7 +60,7 @@ def _err(kind, msg, node=None, **info):
     return TypeCheckError(kind, msg, pos=pos, **info)
 
 
-@dataclass
+@record
 class CheckStats:
     # times a destination binding with outer mode other than 1v was consumed;
     # only the context a caller gives `check_term`/`check_value` can hold one
@@ -70,13 +70,13 @@ class CheckStats:
 # Expected-type patterns for bidirectional flow.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EAmp:
     left: object  # Expected for the ampar's left side
     right: object  # Expected for the ampar's right side
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EArr:
     dom: object  # Expected for the domain
     cod: object  # Expected for the codomain
@@ -96,7 +96,7 @@ class _Unsynthesizable(Exception):
         self.why = why
 
 
-@dataclass
+@record
 class OpenFocus:
     """Internal node: an open-ampar component wrapped around the focus."""
 
@@ -1103,7 +1103,7 @@ class _Stopped(Exception):
         self.gamma, self.exp = gamma, exp
 
 
-@dataclass
+@record
 class _Slot:
     """Internal node in a component's slot: a probe that stops there
     (`typing` None), or the slot's known (type, usage)."""

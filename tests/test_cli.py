@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, exit codes, JSON stability."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import destcalc
 from destcalc.prelude import prelude_path
 
 CONS = prelude_path("demos/cons_example.ld")
@@ -15,6 +17,19 @@ def cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "destcalc.cli", *args], capture_output=True, text=True
     )
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_resources():
+    # every call is a fresh process that pays for each module it imports;
+    # without `site`, which may import some of them on its own
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import destcalc.cli; "
+            "from destcalc.prelude import load_prelude; load_prelude(); "
+            "print([m for m in ('dataclasses', 'inspect', 'importlib.resources') "
+            "if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(destcalc.__file__))
+    r = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
 
 
 def test_check_prints_main_type():

@@ -9,16 +9,7 @@ from destcalc.modes import Mode, UNIT, ONE_INF
 from destcalc.parser import parse_term
 from destcalc.printer import print_value
 
-from conftest import app_chain, frame_of, plain_fv, plain_hmax, run_ok
-
-
-def golden_term():
-    body = S.CasePair(
-        UNIT, S.FillPair(S.FillInr(S.Var("d"))), "dx", "dxs",
-        S.Seq(S.FillLeaf(S.Var("dx"), S.Val(S.UnitV())),
-              S.FillLeaf(S.Var("dxs"), S.Val(S.InlV(S.UnitV())))),
-    )
-    return S.FromAmparPrime(S.UpdWith(S.NewAmpar(None), "d", body))
+from conftest import app_chain, frame_of, golden_term, plain_fv, plain_hmax, run_ok
 
 
 def test_worked_trace_rules_and_value():

@@ -1,7 +1,6 @@
 """The one walk over values and terms: deep inputs at the default recursion
 limit, and the laws its visitors keep."""
 
-import dataclasses
 import itertools
 import sys
 
@@ -158,10 +157,15 @@ def ref_names(x, bound=frozenset()):
     return free, other
 
 
+def replaced(x, kids):
+    """`x` built anew by its class's constructor, with the fields named in `kids` replaced."""
+    return type(x)(*(kids.get(n, getattr(x, n)) for n in S.field_order(type(x))))
+
+
 def alpha(x, offsets):
     """`x` with the names of each ampar in it moved by an offset of its own."""
     kids = {f: alpha(getattr(x, f), offsets) for f in _KIDS.get(type(x), ())}
-    x = dataclasses.replace(x, **kids) if kids else x
+    x = replaced(x, kids) if kids else x
     if type(x) is S.AmparV:
         d = next(offsets)
         x = S.AmparV(frozenset(h + d for h in x.holes),
@@ -200,7 +204,7 @@ def _numbered(x, count):
         return S.HoleV(100 + next(count))
     if type(x) in (S.InlV, S.InrV, S.PairV):
         kids = {f: _numbered(getattr(x, f), count) for f in _KIDS[type(x)]}
-        return dataclasses.replace(x, **kids)
+        return replaced(x, kids)
     return x
 
 
